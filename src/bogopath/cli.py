@@ -26,7 +26,6 @@ SCHEMA_VERSION = 1
 
 #: errors that mean "the computation failed", not "the flags were wrong"
 _NUMERICAL_ERRORS = (
-    sampler.FactorizationError,
     sampler.NonFiniteSamplesError,
     oracle.CombinatorialExplosionError,
     np.linalg.LinAlgError,

@@ -13,8 +13,13 @@ Closed forms implemented here:
 
 The inverse of A is cyclic tridiagonal: the nearest-neighbour coupling wraps
 around between grid points 1 and N because the underlying paths are periodic.
-Its determinant is det(A^-1) = 4 * (m*omega/sinh(beta*omega/N))^N * sinh^2(beta*omega/2);
-both closed forms are cross-checked against dense linear algebra in the tests.
+Its determinant is det(A^-1) = 4 * (m*omega/sinh(beta*omega/N))^N * sinh^2(beta*omega/2).
+Being cyclic, A is circulant, and its eigenvalues mu_k (k = 0..N-1, eigenvectors
+the discrete Fourier modes) are closed-form as well: with x = beta*omega/N,
+
+    1/mu_k = 2*m*omega*tanh(x/2) + 4*m*omega*sin^2(pi*k/N)/sinh(x).
+
+All three closed forms are cross-checked against dense linear algebra in the tests.
 """
 
 from __future__ import annotations
@@ -189,6 +194,29 @@ def grid_covariance(p: MeasureParams, n_grid: int) -> GridCovariance:
         log_sinh_half = half - math.log(2.0) + math.log1p(-math.exp(-2.0 * half))
     log_det = math.log(4.0) + n_grid * math.log(c) + 2.0 * log_sinh_half
     return GridCovariance(p, times, a, a_inv, log_det)
+
+
+def grid_spectrum(p: MeasureParams, n_grid: int) -> np.ndarray:
+    """Eigenvalues mu_0..mu_{N//2} of the circulant grid covariance A.
+
+    mu_k = mu_{N-k}, so these are the values on the rfft frequencies.  Taken
+    from the cyclic tridiagonal A^-1 rather than from a transform of A's first
+    row, which cancels catastrophically at small omega.
+    """
+    if n_grid < 2:
+        raise ParameterError(f"grid size must be >= 2, got {n_grid}")
+    x = p.beta * p.omega / n_grid
+    if x < 30.0:
+        inv_sinh = 1.0 / math.sinh(x)
+    else:
+        inv_sinh = 2.0 * math.exp(-x) / (1.0 - math.exp(-2.0 * x))
+    mw = p.m * p.omega
+    sin2 = np.sin(np.pi * np.arange(n_grid // 2 + 1) / n_grid) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        mu = 1.0 / (2.0 * mw * math.tanh(0.5 * x) + 4.0 * mw * inv_sinh * sin2)
+    if not np.isfinite(mu).all():
+        raise ParameterError(f"grid spectrum overflows float64 at {p}, N={n_grid}")
+    return mu
 
 
 def marginal_log_density(gc: GridCovariance, q: np.ndarray) -> float:

@@ -41,7 +41,7 @@ def quadratic(kappa: float = 1.0) -> Potential:
 
 
 def quartic(g: float = 1.0) -> Potential:
-    return Potential(f"quartic(g={g})", lambda x: g * x**4, True, g >= 0)
+    return Potential(f"quartic(g={g})", lambda x: g * np.square(np.square(x)), True, g >= 0)
 
 
 _BUILDERS = {

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,10 +122,59 @@ def test_mc_columns_multicolumn_shapes(p111):
 def test_kl_drawer_validation(p111):
     with pytest.raises(ParameterError):
         sampler.kl_drawer(p111, -1, 16)
+    with pytest.raises(ParameterError):
+        sampler.finite_dim_drawer(p111, 1)
+    with pytest.raises(ParameterError):  # mu_0 = N/(m*omega^2*beta) overflows
+        sampler.finite_dim_drawer(MeasureParams(m=1.0, omega=1e-170, beta=1.0), 8)
 
 
-def test_factorization_error_message():
-    # an astronomically stiff grid makes A numerically singular
-    p = MeasureParams(m=1.0, omega=1e-9, beta=1e-9)
-    with pytest.raises(sampler.FactorizationError):
-        sampler.finite_dim_drawer(p, 64)
+class _IdentityRng:
+    """Stands in for a Generator: its "normals" are the identity matrix."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def standard_normal(self, shape):
+        assert shape == (self.n, self.n)
+        return np.eye(self.n)
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.5, 0.3, 7.0),
+                                            (0.1, 20.0, 3.0), (1.0, 1e-3, 1.0)])
+@pytest.mark.parametrize("n", [7, 8, 64, 65])
+def test_finite_drawer_covariance_is_exact(m, omega, beta, n):
+    p = MeasureParams(m=m, omega=omega, beta=beta)
+    _, draw = sampler.finite_dim_drawer(p, n)
+    values = draw(_IdentityRng(n), n)
+    assert np.array_equal(values[:, 0], values[:, -1])
+    s = values[:, :n]  # row i is the path drawn from the i-th unit vector
+    a = kernel.grid_covariance(p, n).a
+    assert np.max(np.abs(s.T @ s - a)) <= 1e-12 * np.max(np.abs(a))
+
+    mu = kernel.grid_spectrum(p, n)
+    full = np.concatenate([mu, mu[1:(n + 1) // 2][::-1]])  # mu_k = mu_{N-k}
+    eig = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(np.sort(full) - eig)) <= 1e-12 * eig[-1]
+
+
+def test_finite_drawer_huge_grid_step_is_finite():
+    # beta*omega/N = 1e4: sinh(beta*omega/N) alone would overflow
+    p = MeasureParams(m=1.0, omega=1e4, beta=8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mu = kernel.grid_spectrum(p, 8)
+        _, draw = sampler.finite_dim_drawer(p, 8)
+        values = draw(np.random.default_rng(0), 100)
+    assert np.isfinite(mu).all() and (mu > 0).all()
+    assert np.isfinite(values).all()
+
+
+def test_finite_drawer_tiny_omega():
+    # well-defined laws whose grid covariance is numerically singular at N=512
+    for beta in (1e-9, 1.0):
+        p = MeasureParams(m=1.0, omega=1e-9, beta=beta)
+        batch = sampler.sample_finite(p, 512, 20_000, seed=12)
+        assert np.isfinite(batch.values).all()
+        var = batch.values[:, 0].var(ddof=1)
+        se = p.marginal_variance * math.sqrt(2.0 / (len(batch) - 1))
+        assert abs(var - p.marginal_variance) < 4.0 * se

@@ -6,7 +6,11 @@ Closed forms implemented here:
   periodic in each argument with period beta;
 * its eigen-decomposition over the real trigonometric basis on [0, beta]
   (constant mode, cosines for positive index, sines for negative index) with
-  eigenvalues lambda_n = 1/(m*(omega^2 + (2*pi*n/beta)^2));
+  eigenvalues lambda_n = 1/(m*(omega^2 + (2*pi*n/beta)^2)).  On the uniform
+  grid t_j = j*beta/g, modes n, n + g and g - n take the same values (sines
+  up to sign), so the grid law of the truncated expansion has the aliased
+  sums sum_{n mod g = +-k} lambda_n as the variances of its g Fourier
+  coefficients; ``sampler.kl_drawer`` draws from those;
 * the covariance matrix A of the path restricted to the uniform grid
   s_j = beta*(j-1)/N, together with closed forms for its inverse and the
   determinant of the inverse.

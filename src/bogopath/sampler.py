@@ -6,8 +6,17 @@ Two deliberately independent samplers are provided:
   circulant, so scaling the discrete Fourier transform of white noise by the
   square root of A's closed-form spectrum and transforming back gives N(0, A)
   in O(N log N) per path;
-* ``sample_kl`` synthesizes paths from the truncated eigen-expansion
-  sum_n sqrt(lambda_n) * xi_n * phi_n(t), which is exactly periodic.
+* ``sample_kl`` draws the truncated eigen-expansion
+  sum_{|n| <= n_modes} sqrt(lambda_n) * xi_n * phi_n(t) on the grid.  There
+  mode n takes the values of the grid frequency n mod g (folded to g - n mod g
+  with a sign flip of the sine), so the expansion is a real trigonometric
+  polynomial of at most g independent Gaussian coefficients, each with the
+  summed lambda_n of the modes that fold onto it as variance; one normal per
+  coefficient and an inverse real FFT give the paths.
+
+Both end in the same inverse real FFT, but their spectra are independent:
+the finite sampler's comes from the closed-form grid covariance, the KL
+sampler's from the eigenvalues lambda_n.
 
 Disagreement between the two beyond statistical tolerance flags a bug in
 either the kernel closed forms or the sampling.
@@ -79,12 +88,31 @@ class EstimateReport:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _n_chunks(n_paths: int, chunk_size: int) -> int:
+    if n_paths < 1 or chunk_size < 1:
+        raise ParameterError(f"need n_paths >= 1 and chunk_size >= 1, "
+                             f"got {n_paths} and {chunk_size}")
+    return (n_paths + chunk_size - 1) // chunk_size
+
+
 def grid_times(p: MeasureParams, g: int) -> np.ndarray:
+    if g < 1:
+        raise ParameterError(f"grid size must be >= 1, got {g}")
     return p.beta * np.arange(g + 1) / g
+
+
+def _synthesize(spec: np.ndarray, g: int) -> np.ndarray:
+    """Periodic grid values (count, g + 1) of the half-spectra in the rows of spec."""
+    values = np.empty((spec.shape[0], g + 1))
+    np.fft.irfft(spec, n=g, axis=1, out=values[:, :g])
+    values[:, g] = values[:, 0]
+    return values
 
 
 def finite_dim_drawer(p: MeasureParams, n_grid: int) -> tuple[np.ndarray, Callable]:
@@ -97,26 +125,51 @@ def finite_dim_drawer(p: MeasureParams, n_grid: int) -> tuple[np.ndarray, Callab
     times = grid_times(p, n_grid)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        z = rng.standard_normal((count, n_grid))
-        vals = np.fft.irfft(np.fft.rfft(z, axis=1) * sqrt_mu, n=n_grid, axis=1)
-        return np.concatenate([vals, vals[:, :1]], axis=1)
+        spec = np.fft.rfft(rng.standard_normal((count, n_grid)), axis=1)
+        spec *= sqrt_mu
+        return _synthesize(spec, n_grid)
 
     return times, draw
 
 
 def kl_drawer(p: MeasureParams, n_modes: int, g: int) -> tuple[np.ndarray, Callable]:
-    """Times and a draw closure for the truncated eigen-expansion sampler."""
+    """Times and a draw closure for the truncated eigen-expansion on g grid points.
+
+    Mode n (cosine, or sine for -n) lands on rfft bin k = min(r, g - r) with
+    r = n mod g.  On the grid, bin k's cosine coefficient is Gaussian with
+    variance sum w_n*lambda_n over the modes folding onto it (w_0 = 1/beta,
+    w_n = 2/beta), and its sine coefficient likewise over the sines, which
+    vanish on the grid when r is 0 or g/2.  Each path takes one normal per
+    coefficient of nonzero variance, min(g, 2*n_modes + 1) in all, and one
+    irfft; its grid law is exactly that of the truncated expansion.
+    """
     if n_modes < 0:
         raise ParameterError(f"n_modes must be >= 0, got {n_modes}")
     times = grid_times(p, g)
-    indices = np.arange(-n_modes, n_modes + 1)
-    sqrt_lam = np.sqrt(kernel.eigenvalue(p, indices))
-    basis = np.stack([kernel.eigenfunction(p, n, times) for n in indices])
-    basis[:, -1] = basis[:, 0]  # close the period exactly despite rounding in cos/sin
+    n = np.arange(n_modes + 1)
+    lam = kernel.eigenvalue(p, n) * np.where(n == 0, 1.0, 2.0) / p.beta
+    r = n % g
+    k = np.minimum(r, g - r)
+    has_sine = 2 * r % g != 0  # sin(2 pi r j/g) vanishes on the grid for r = 0, g/2
+    n_bins = g // 2 + 1
+    # (real, imaginary) parts of the half-spectrum, interleaved as in its float view
+    var = np.stack([np.bincount(k, lam, n_bins), np.bincount(k, lam * has_sine, n_bins)],
+                   axis=1)
+    # irfft(c)[j] = (c_0 + 2 sum_k Re(c_k e^{2 pi i jk/g}) [+ c_{g/2} (-1)^j]) / g
+    scale = np.where(2 * np.arange(n_bins) % g == 0, g, g / 2)
+    # In the order Re c_0, Re c_1, Im c_1, Re c_2, ... (Im c_0 left out: irfft
+    # ignores it), the coefficients of nonzero variance are the first
+    # min(g, 2*n_modes + 1); with g even, the last one, Im c_{g/2}, is zero.
+    sd = np.delete((np.sqrt(var) * scale[:, None]).ravel(), 1)[:min(g, 2 * n_modes + 1)]
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, len(indices)))
-        return (xi * sqrt_lam) @ basis
+        coeffs = rng.standard_normal((count, len(sd)))
+        coeffs *= sd
+        spec = np.zeros((count, n_bins), dtype=complex)
+        flat = spec.view(float)
+        flat[:, 0] = coeffs[:, 0]
+        flat[:, 2:len(sd) + 1] = coeffs[:, 1:]
+        return _synthesize(spec, g)
 
     return times, draw
 
@@ -130,15 +183,19 @@ def sample_finite(p: MeasureParams, n_grid: int, n_paths: int, seed: int,
 
 def sample_kl(p: MeasureParams, n_modes: int, g: int, n_paths: int, seed: int,
               chunk_size: int = DEFAULT_CHUNK) -> PathBatch:
-    """Draw n_paths truncated-expansion paths, exactly periodic by construction."""
+    """Draw n_paths paths of the truncated eigen-expansion on g grid points.
+
+    The modes are folded onto the grid frequencies and synthesized by irfft
+    (see ``kl_drawer``); the grid values have exactly the truncated law.
+    """
     times, draw = kl_drawer(p, n_modes, g)
     return PathBatch(times, _draw_all(draw, n_paths, seed, chunk_size))
 
 
 def _draw_all(draw: Callable, n_paths: int, seed: int, chunk_size: int) -> np.ndarray:
     parts = []
-    for ci, start in enumerate(range(0, n_paths, chunk_size)):
-        count = min(chunk_size, n_paths - start)
+    for ci in range(_n_chunks(n_paths, chunk_size)):
+        count = min(chunk_size, n_paths - ci * chunk_size)
         parts.append(draw(_chunk_rng(seed, ci), count))
     return np.concatenate(parts, axis=0)
 
@@ -157,7 +214,7 @@ def mc_columns(times: np.ndarray, draw: Callable, eval_fn: Callable,
     (mean, cov_of_mean, n) where cov_of_mean is the q x q covariance of the
     estimated means.  Results are independent of ``threads`` by construction.
     """
-    n_chunks = (n_paths + chunk_size - 1) // chunk_size
+    n_chunks = _n_chunks(n_paths, chunk_size)
 
     def run_chunk(ci: int):
         start = ci * chunk_size

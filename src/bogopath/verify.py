@@ -31,7 +31,7 @@ class CriterionResult:
 
 
 def _rng(tag: int, seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+    return sampler._chunk_rng(seed, tag)  # the sampler's Philox keying and seed check
 
 
 def _random_params(rng: np.random.Generator) -> MeasureParams:

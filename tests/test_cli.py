@@ -156,6 +156,18 @@ def test_invalid_parameter_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--functional", "const", "--paths", "0", "--seed", "1"],
+    ["sample", "--method", "kl", "--seed", "-1"],
+    ["sample", "--method", "kl", "--grid", "0", "--seed", "1"],
+    ["verify", "--quick", "--seed", "-1"],
+])
+def test_sampler_parameter_errors_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_domain_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--quantity", "exp-quad", "--lambda", "5.0"])

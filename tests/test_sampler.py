@@ -122,10 +122,29 @@ def test_mc_columns_multicolumn_shapes(p111):
 def test_kl_drawer_validation(p111):
     with pytest.raises(ParameterError):
         sampler.kl_drawer(p111, -1, 16)
+    with pytest.raises(ParameterError):  # g = 0 would give NaN times and paths
+        sampler.kl_drawer(p111, 8, 0)
     with pytest.raises(ParameterError):
         sampler.finite_dim_drawer(p111, 1)
     with pytest.raises(ParameterError):  # mu_0 = N/(m*omega^2*beta) overflows
         sampler.finite_dim_drawer(MeasureParams(m=1.0, omega=1e-170, beta=1.0), 8)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_estimate_rejects_empty_path_count(p111, n_paths):
+    with pytest.raises(ParameterError):
+        sampler.estimate(p111, functionals.const(), n_paths=n_paths, n_grid=8, seed=0)
+    with pytest.raises(ParameterError):
+        sampler.sample_finite(p111, 8, n_paths, seed=0)
+
+
+def test_seed_outside_philox_key_range(p111):
+    # -1 and 2**64 - 1 used to share one stream through a 64-bit mask
+    top = sampler.sample_kl(p111, 4, 8, 10, seed=2**64 - 1)
+    assert np.isfinite(top.values).all()
+    for seed in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            sampler.sample_kl(p111, 4, 8, 10, seed=seed)
 
 
 class _IdentityRng:
@@ -178,3 +197,49 @@ def test_finite_drawer_tiny_omega():
         var = batch.values[:, 0].var(ddof=1)
         se = p.marginal_variance * math.sqrt(2.0 / (len(batch) - 1))
         assert abs(var - p.marginal_variance) < 4.0 * se
+
+
+def test_sample_finite_matches_reference_map(p111):
+    # the spectral map written out on each chunk's normals: rfft, scale, irfft, close
+    for n in (7, 8):
+        batch = sampler.sample_finite(p111, n, 700, seed=13, chunk_size=256)
+        sqrt_mu = np.sqrt(kernel.grid_spectrum(p111, n))
+        parts = []
+        for ci, count in enumerate((256, 256, 188)):
+            z = sampler._chunk_rng(13, ci).standard_normal((count, n))
+            vals = np.fft.irfft(np.fft.rfft(z, axis=1) * sqrt_mu, n=n, axis=1)
+            parts.append(np.concatenate([vals, vals[:, :1]], axis=1))
+        assert np.array_equal(batch.values, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.5, 0.3, 7.0),
+                                            (0.1, 20.0, 3.0)])
+@pytest.mark.parametrize("n_modes, g", [(512, 256), (64, 48), (32, 32), (10, 64),
+                                        (4, 8), (3, 8), (100, 7), (5, 1), (0, 8)])
+def test_kl_drawer_law_is_exact(m, omega, beta, n_modes, g):
+    p = MeasureParams(m=m, omega=omega, beta=beta)
+    times, draw = sampler.kl_drawer(p, n_modes, g)
+    k = min(g, 2 * n_modes + 1)  # normals per path; _IdentityRng asserts the count
+    values = draw(_IdentityRng(k), k)
+    assert np.array_equal(values[:, 0], values[:, -1])
+    s = values[:, :g]
+    t = times[:g]
+    trunc = kernel.truncated_kernel(p, t[:, None], t[None, :], n_modes)
+    assert np.max(np.abs(s.T @ s - trunc)) <= 1e-12 * np.max(np.abs(trunc))
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.5, 0.3, 7.0)])
+@pytest.mark.parametrize("g", [63, 64])
+def test_kl_folded_spectrum_approaches_grid_spectrum(m, omega, beta, g):
+    # The aliased eigenvalue sums and the closed-form spectrum of A are computed
+    # independently; the modes beyond n_modes that the fold misses carry at most
+    # (g/beta) * eigen_tail_bound of any bin's Fourier variance.
+    p = MeasureParams(m=m, omega=omega, beta=beta)
+    n_modes = 4096
+    _, draw = sampler.kl_drawer(p, n_modes, g)
+    s = draw(_IdentityRng(g), g)[:, :g]
+    folded = (np.abs(np.fft.rfft(s, axis=1)) ** 2).sum(axis=0) / g  # diag of F S^T S F^H / g
+    mu = kernel.grid_spectrum(p, g)
+    gap = g / p.beta * kernel.eigen_tail_bound(p, n_modes)
+    assert np.all(mu - folded >= -1e-12 * mu[0])
+    assert np.all(mu - folded <= gap)

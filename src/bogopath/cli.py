@@ -170,18 +170,16 @@ def _cmd_oracle(args) -> None:
 def _cmd_sample(args) -> None:
     p = _measure(args)
     if args.method == "finite":
-        batch = sampler.sample_finite(p, args.grid, args.paths, args.seed)
+        times, values = sampler.sample_finite(p, args.grid, args.paths, args.seed)
     else:
-        batch = sampler.sample_kl(p, args.modes, args.grid, args.paths, args.seed)
-    rows = []
-    for i in range(len(batch)):
-        for t, v in zip(batch.times, batch.values[i]):
-            rows.append([f"{t!r}", i, f"{v!r}"])
+        times, values = sampler.sample_kl(p, args.modes, args.grid, args.paths, args.seed)
+    rows = [[f"{t!r}", i, f"{v!r}"] for i, path in enumerate(values.tolist())
+            for t, v in zip(times.tolist(), path)]
     result = {
-        "n_paths": len(batch),
-        "grid_points": len(batch.times),
-        "value_mean": float(batch.values.mean()),
-        "value_var": float(batch.values.var()),
+        "n_paths": len(values),
+        "grid_points": len(times),
+        "value_mean": float(values.mean()),
+        "value_var": float(values.var()),
     }
     _emit(args, "sample", _config_dict(args), result,
           csv_rows=rows, csv_header=["t", "path", "value"])
@@ -315,11 +313,34 @@ def _cmd_verify(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _ConfigDefaults(argparse.Action):
+    """``--config FILE``: the file's keys become every subcommand's defaults.
+
+    It runs before the subcommand is parsed (``--config`` precedes it), so
+    explicit flags still win.
+    """
+
+    def __init__(self, option_strings, dest, subcommands, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.subcommands = subcommands
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                defaults = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config file: {exc}")
+        for subparser in self.subcommands.choices.values():
+            subparser.set_defaults(**defaults)
+        setattr(namespace, self.dest, path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bogo",
                                      description="periodic Gaussian path measure toolkit")
-    parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("--config", action=_ConfigDefaults, subcommands=sub,
+                        help="JSON file with default option values")
 
     sp = sub.add_parser("kernel", help="covariance kernel and grid structures")
     _add_measure_flags(sp)
@@ -429,18 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # a config file supplies defaults; explicit flags still win
-    pre, _ = parser.parse_known_args(argv)
-    if pre.config:
-        try:
-            with open(pre.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            action.set_defaults(**{k: v for k, v in defaults.items()
-                                   if any(a.dest == k for a in action._actions)})  # noqa: SLF001
     args = parser.parse_args(argv)
     try:
         args.func(args)

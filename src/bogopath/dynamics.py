@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.special
 
 from . import sampler
-from .params import MeasureParams, ParameterError
+from .params import MeasureParams, ParameterError, cosh_over_sinh, sinh_over_sinh
 from .potentials import Potential
 
 _GH_ORDER = 80
@@ -92,20 +92,8 @@ def heat_apply(p: MeasureParams, f, beta_arg: float, x, gh_order: int = _GH_ORDE
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TransformedPath:
-    """y(t) = x(t)/omega + int_0^t x(tau) dtau on the path's grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-
-def transform_y(p: MeasureParams, path: sampler.PathSample) -> TransformedPath:
-    running = scipy.integrate.cumulative_trapezoid(path.values, path.times, initial=0.0)
-    return TransformedPath(path.times, path.values / p.omega + running)
-
-
 def transform_y_batch(p: MeasureParams, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """y(t) = x(t)/omega + int_0^t x(tau) dtau on the grid, for each path (row) of values."""
     running = scipy.integrate.cumulative_trapezoid(values, times, axis=1, initial=0.0)
     return values / p.omega + running
 
@@ -116,16 +104,15 @@ def y_covariance(p: MeasureParams, t: float, s: float) -> float:
     for v in (t, s):
         if not 0.0 <= v <= p.beta:
             raise ParameterError("times must lie in [0, beta]")
-    w, b = p.omega, p.beta
-    half = 0.5 * b * w
-    pref = 1.0 / (2.0 * p.m * w**2 * math.sinh(half))
-    bracket = (
-        2.0 * (1.0 / w + min(s, t)) * math.sinh(half)
-        - math.cosh(half) / w
-        + (math.cosh(w * s - half) + math.sinh(w * s - half)) / w
-        + (math.cosh(w * t - half) + math.sinh(w * t - half)) / w
-    )
-    return pref * bracket
+    w, half = p.omega, p.half_bw
+
+    def exp_over_sinh(a):  # e^a / sinh(half) with e^a = cosh(a) + sinh(a)
+        return cosh_over_sinh(a, half) + sinh_over_sinh(a, half)
+
+    bracket = (2.0 * (1.0 / w + min(s, t))
+               + (exp_over_sinh(w * s - half) + exp_over_sinh(w * t - half)
+                  - cosh_over_sinh(half, half)) / w)
+    return bracket / (2.0 * p.m * w**2)
 
 
 def y_increment_variance(p: MeasureParams, t: float, s: float) -> float:

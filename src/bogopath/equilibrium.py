@@ -72,23 +72,33 @@ def domination_check(p: MeasureParams, v_pot: Potential, h_values,
                      threads: int = 1) -> DominationReport:
     """Check R(h) <= R(0) for every shift, up to n_sigma combined errors.
 
-    All estimates share one stream of paths (same seed) so the comparison is
-    between correlated estimates and the domination holds samplewise for the
-    direct estimator.
+    One pass over one stream of paths: each path gives the direct estimator
+    exp(-int V(x + h)) of R(0) and of every R(h) as columns of the same
+    ``mc_columns`` call, so the comparison is between correlated estimates
+    and the domination holds samplewise for the direct estimator.  Each
+    estimate equals ``r_of_h(..., method="direct")`` on the same seed up to
+    the summation order.
     """
+    validate_symmetric_nonnegative(v_pot)
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    r0 = r_of_h(p, v_pot, 0.0, n_paths, n_grid, seed, "direct", threads)
-    rs, errs = [], []
-    for h in h_values:
-        rep = r_of_h(p, v_pot, float(h), n_paths, n_grid, seed, "direct", threads)
-        rs.append(rep.estimate)
-        errs.append(rep.std_error)
-    rs, errs = np.asarray(rs), np.asarray(errs)
-    slack = n_sigma * np.hypot(errs, r0.std_error)
+    weights = [functionals.boltzmann_weight(v_pot, shift=float(h))
+               for h in (0.0, *h_values)]
+    times, draw = sampler.finite_dim_drawer(p, n_grid)
+
+    def eval_fn(t, vals):
+        # one shift at a time, so no (shifts, paths, grid) array is built
+        return np.stack([w.evaluate_batch(t, vals) for w in weights], axis=1)
+
+    mean, cov_mean, _ = sampler.mc_columns(times, draw, eval_fn, n_paths, seed,
+                                           threads=threads)
+    errs = np.sqrt(np.maximum(np.diag(cov_mean), 0.0))
+    r_zero, r_zero_error = float(mean[0]), float(errs[0])
+    rs, errs = mean[1:], errs[1:]
+    slack = n_sigma * np.hypot(errs, r_zero_error)
     return DominationReport(
         h_values=h_values, r_values=rs, r_errors=errs,
-        r_zero=r0.estimate, r_zero_error=r0.std_error, n_sigma=n_sigma,
-        dominated=bool(np.all(rs <= r0.estimate + slack)),
+        r_zero=r_zero, r_zero_error=r_zero_error, n_sigma=n_sigma,
+        dominated=bool(np.all(rs <= r_zero + slack)),
     )
 
 

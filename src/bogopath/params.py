@@ -11,6 +11,7 @@ Everything in this package is parametrized by the triple (m, omega, beta).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -20,7 +21,11 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Mass m, frequency omega and inverse temperature beta, all positive."""
+    """Mass m, frequency omega and inverse temperature beta, all positive.
+
+    Any real number but a bool is accepted (numpy scalars included) and
+    stored as a Python float.
+    """
 
     m: float
     omega: float
@@ -29,8 +34,10 @@ class MeasureParams:
     def __post_init__(self):
         for name in ("m", "omega", "beta"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be a positive finite real, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
     @property
     def half_bw(self) -> float:

@@ -115,6 +115,8 @@ class ContinuousRho:
 
     rho(u, t) = sqrt(beta/m) * (e^(beta*omega) - 1)^-1 * e^(omega*(t - |u|))
                 * [theta(t - |u|) + e^(beta*omega) * theta(|u| - t)] * sgn(u)
+              = sqrt(beta/m) * e^(omega*(t - |u|) - beta*omega*theta(t - |u|))
+                / (1 - e^(-beta*omega)) * sgn(u)
 
     against dnu(u) = du/(2*beta), with sgn(0) = 0.  Products of rho factors
     are piecewise exponential in u with kinks at |u| = t, so u-integrals use
@@ -136,13 +138,10 @@ class ContinuousRho:
         if (np.abs(u) > p.beta).any() or (t < 0).any() or (t > p.beta).any():
             raise kernel.DomainError("need |u| <= beta and t in [0, beta]")
         au = np.abs(u)
-        pref = math.sqrt(p.beta / p.m) / math.expm1(p.beta * p.omega)
-        body = np.where(
-            t >= au,
-            np.exp(p.omega * (t - au)),
-            math.exp(p.beta * p.omega) * np.exp(p.omega * (t - au)),
-        )
-        out = pref * body * np.sign(u)
+        # the second form: exponent in [-beta*omega, 0], finite at any beta*omega
+        bw = p.beta * p.omega
+        pref = math.sqrt(p.beta / p.m) / -math.expm1(-bw)
+        out = pref * np.exp(p.omega * (t - au) - bw * (t >= au)) * np.sign(u)
         return float(out) if out.ndim == 0 else out
 
     def _positive_panels(self, breakpoints):
@@ -264,16 +263,6 @@ class DiscreteRho:
         return acc
 
 
-def rho_continuous(p: MeasureParams, u: float, t: float) -> float:
-    """Pointwise continuous factorization value (module-level convenience)."""
-    return float(ContinuousRho(p).rho(u, t))
-
-
-def rho_discrete(p: MeasureParams, weights, u: float, t: float) -> float:
-    """Pointwise discrete factorization value for given band weights."""
-    return float(DiscreteRho(p, np.asarray(weights, dtype=float)).rho(u, t))
-
-
 # ---------------------------------------------------------------------------
 # node polynomials and rule evaluation
 
@@ -345,9 +334,13 @@ def thm2_integrate(p: MeasureParams, f, n: int, a_const: float, rho=None,
     """Degree-(2n+1) rule with real nodes and a free constant A > n - 1.
 
     The k-variable term uses theta = s_k * sum_{j<=k} rho(u_j, .) with
-    s_k = 1/sqrt(A - n + k).  ``scaling="sqrt_factorial"`` substitutes
-    1/sqrt(k!) (only meaningful with A = n, where the two choices agree for
-    k <= 2 and the sqrt_shift one is the exact rule; see thm2_In_*).
+    s_k = 1/sqrt(A - n + k).  With A = n the F(0) weight vanishes and the
+    rule is I_n(F) = sum_{k=1}^n (-1)^(n-k) k^n/(k! (n-k)!) int F(theta_k)
+    dnu_k, checked independently by ``thm2_In_recursive``.  The printed
+    special case uses 1/sqrt(k!) in theta_k where the general rule gives
+    1/sqrt(k); ``scaling="sqrt_factorial"`` substitutes it (only meaningful
+    with A = n, where the two choices agree for k <= 2; the sqrt_shift one is
+    the rule that passes the exactness sweep for n >= 3).
     """
     poly = as_functional_polynomial(f)
     if a_const <= n - 1:
@@ -375,26 +368,6 @@ def _theta_scaling(k: int, n: int, a_const: float, scaling: str) -> float:
 
 def _f_at_zero(poly: FunctionalPolynomial) -> float:
     return sum(c for c, ts in poly.terms if len(ts) == 0)
-
-
-def thm2_In_direct(p: MeasureParams, f, n: int, rho=None,
-                   scaling: str = "sqrt_shift") -> float:
-    """I_n(F) = sum_{k=1}^n (-1)^(n-k) k^n/(k! (n-k)!) * int F(theta_k) dnu_k.
-
-    This is thm2 with A = n (the F(0) weight vanishes).  The printed special
-    case uses 1/sqrt(k!) in theta_k where the general rule gives 1/sqrt(k);
-    both are evaluable, the sqrt_shift variant is the one that passes the
-    exactness sweep for n >= 3.
-    """
-    poly = as_functional_polynomial(f)
-    if rho is None:
-        rho = ContinuousRho(p)
-    total = 0.0
-    for k in range(1, n + 1):
-        weight = ((-1.0) ** (n - k)) * k**n / (math.factorial(k) * math.factorial(n - k))
-        s_k = _theta_scaling(k, n, float(n), scaling)
-        total += weight * _nu_integral(poly, np.full(k, s_k), rho).real
-    return float(total)
 
 
 def thm2_In_recursive(p: MeasureParams, f, n: int, rho=None,

@@ -16,10 +16,15 @@ Two deliberately independent samplers are provided:
 
 Both end in the same inverse real FFT, but their spectra are independent:
 the finite sampler's comes from the closed-form grid covariance, the KL
-sampler's from the eigenvalues lambda_n.
+sampler's from the eigenvalues lambda_n.  Each has a drawer (grid times and
+a ``draw(rng, count)`` closure) and returns paths as ``(times, values)``:
+the shared grid of g + 1 times and one path per row of ``values``.
 
 Disagreement between the two beyond statistical tolerance flags a bug in
 either the kernel closed forms or the sampling.
+
+Every estimate goes through ``mc_columns``, one pass over the paths that
+averages any number of per-path statistics (columns) on the same stream.
 
 Reproducibility contract: draws are partitioned into fixed-size chunks, each
 chunk owns a counter-based Philox stream keyed by (seed, chunk index), and
@@ -32,7 +37,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,20 +65,6 @@ class PathSample:
             raise ParameterError("times and values must have equal length")
         if not np.isclose(self.values[0], self.values[-1], rtol=0, atol=1e-9 * (1 + abs(self.values[0]))):
             raise ParameterError("path must close periodically: values[0] == values[-1]")
-
-
-class PathBatch(Sequence):
-    """A batch of paths sharing one time grid; rows of ``values`` are paths."""
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = times
-        self.values = values
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, i) -> PathSample:
-        return PathSample(self.times, self.values[i])
 
 
 @dataclass(frozen=True)
@@ -175,21 +166,23 @@ def kl_drawer(p: MeasureParams, n_modes: int, g: int) -> tuple[np.ndarray, Calla
 
 
 def sample_finite(p: MeasureParams, n_grid: int, n_paths: int, seed: int,
-                  chunk_size: int = DEFAULT_CHUNK) -> PathBatch:
-    """Draw n_paths exact grid-marginal paths on the uniform N-point grid, by FFT."""
+                  chunk_size: int = DEFAULT_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of n_paths exact grid-marginal paths on the uniform
+    N-point grid, drawn by FFT; values has shape (n_paths, N + 1)."""
     times, draw = finite_dim_drawer(p, n_grid)
-    return PathBatch(times, _draw_all(draw, n_paths, seed, chunk_size))
+    return times, _draw_all(draw, n_paths, seed, chunk_size)
 
 
 def sample_kl(p: MeasureParams, n_modes: int, g: int, n_paths: int, seed: int,
-              chunk_size: int = DEFAULT_CHUNK) -> PathBatch:
-    """Draw n_paths paths of the truncated eigen-expansion on g grid points.
+              chunk_size: int = DEFAULT_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of n_paths paths of the truncated eigen-expansion on g
+    grid points; values has shape (n_paths, g + 1).
 
     The modes are folded onto the grid frequencies and synthesized by irfft
     (see ``kl_drawer``); the grid values have exactly the truncated law.
     """
     times, draw = kl_drawer(p, n_modes, g)
-    return PathBatch(times, _draw_all(draw, n_paths, seed, chunk_size))
+    return times, _draw_all(draw, n_paths, seed, chunk_size)
 
 
 def _draw_all(draw: Callable, n_paths: int, seed: int, chunk_size: int) -> np.ndarray:
@@ -254,10 +247,14 @@ def estimate(p: MeasureParams, functional: Callable, method: str = "finite",
              chunk_size: int = DEFAULT_CHUNK, threads: int = 1) -> EstimateReport:
     """Mean and standard error of a path functional over i.i.d. draws.
 
-    ``functional`` is either batch-aware (has ``evaluate_batch(times, values)``)
-    or a plain callable on PathSample.  Deterministic for fixed
+    ``functional`` must have ``evaluate_batch(times, values)`` returning one
+    number per path (every ``functionals.PathFunctional`` does); it is the
+    single column of one ``mc_columns`` pass.  Deterministic for fixed
     (seed, method, sizes, chunk_size) regardless of the thread count.
     """
+    if not hasattr(functional, "evaluate_batch"):
+        raise ParameterError(f"functional {functional!r} has no evaluate_batch(times, values); "
+                             "wrap a batch function in functionals.PathFunctional")
     if method in ("finite", "finite_dim"):
         times, draw = finite_dim_drawer(p, n_grid)
         method = "finite_dim"
@@ -266,14 +263,9 @@ def estimate(p: MeasureParams, functional: Callable, method: str = "finite",
     else:
         raise ParameterError(f"unknown sampling method {method!r}")
 
-    if hasattr(functional, "evaluate_batch"):
-        eval_fn = lambda t, v: functional.evaluate_batch(t, v)[:, None]  # noqa: E731
-    else:
-        def eval_fn(t, v):
-            return np.array([[functional(PathSample(t, row))] for row in v])
-
-    mean, cov_mean, n_eff = mc_columns(times, draw, eval_fn, n_paths, seed,
-                                       chunk_size, threads)
+    mean, cov_mean, n_eff = mc_columns(times, draw,
+                                       lambda t, v: functional.evaluate_batch(t, v)[:, None],
+                                       n_paths, seed, chunk_size, threads)
     return EstimateReport(
         estimate=float(mean[0]),
         std_error=float(math.sqrt(max(cov_mean[0, 0], 0.0))),

@@ -33,13 +33,17 @@ def quadratic_variation(path: sampler.PathSample, k: int | None = None) -> float
 
 
 def qvar_exact_mean(p: MeasureParams, n: int) -> float:
-    """E[S_N] = N * [cosh(b/2) - cosh(b/2 - b/N)] / (m*omega*sinh(b/2)), b = beta*omega."""
+    """E[S_N] = N * [cosh(b/2) - cosh(b/2 - b/N)] / (m*omega*sinh(b/2)), b = beta*omega.
+
+    Evaluated as N (1 - e^-c)(1 - e^-(b - c)) / (m omega (1 - e^-b)), c = b/N,
+    the same ratio after cosh(x + y) - cosh(x - y) = 2 sinh(x) sinh(y): no
+    difference of cosh values (which cancels at large N) and no overflow.
+    """
     if n < 1:
         raise ParameterError("partition size must be >= 1")
     b = p.beta * p.omega
-    return n * (math.cosh(0.5 * b) - math.cosh(0.5 * b - b / n)) / (
-        p.m * p.omega * math.sinh(0.5 * b)
-    )
+    c = b / n
+    return n * math.expm1(-c) * math.expm1(c - b) / (-p.m * p.omega * math.expm1(-b))
 
 
 def qvar_exact_second_moment(p: MeasureParams, n: int) -> float:

@@ -322,18 +322,6 @@ ALL_CRITERIA = {
     "determinism": check_determinism,
 }
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 QUICK_NAMES = {
     "closed_form_grid_covariance", "quadrature_exactness", "rho_factorization",
     "feynman_kac", "determinism",
@@ -349,7 +337,7 @@ def run(seed: int = 0, quick: bool = False, names: set[str] | None = None) -> di
         if names is not None and name not in names:
             continue
         res = fn(seed=seed, quick=quick)
-        results.append(CriterionResult(res.name, bool(res.passed), _jsonify(res.details)))
+        results.append(CriterionResult(res.name, bool(res.passed), res.details))
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

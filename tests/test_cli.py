@@ -47,6 +47,8 @@ def test_sample_csv_format(capsys):
     lines = out.split("\r\n")
     assert lines[0] == "t,path,value"
     assert len([ln for ln in lines if ln]) == 1 + 3 * 5  # header + paths*(grid+1)
+    t, path, value = lines[1].split(",")  # plain float reprs, not np.float64(...)
+    assert (t, path) == ("0.0", "0") and math.isfinite(float(value))
 
 
 def test_sample_json_summary(capsys):
@@ -142,6 +144,20 @@ def test_config_file_defaults(capsys, tmp_path):
     _, out2, _ = run_cli(capsys, "--config", str(cfg), "kernel", "--beta", "1.0")
     assert json.loads(out2)["result"]["trace_b"] == pytest.approx(
         MeasureParams(1.0, 1.0, 1.0).trace_b)
+
+
+def test_config_file_keys_of_two_subcommands(capsys, tmp_path):
+    # beta belongs to every measure subcommand, paths to sampling ones only;
+    # each key still reaches the echoed config of a subcommand without it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 2.0, "paths": 7}))
+    _, out, _ = run_cli(capsys, "--config", str(cfg), "kernel")
+    assert json.loads(out)["config"] == {"beta": 2.0, "command": "kernel", "m": 1.0,
+                                         "omega": 1.0, "paths": 7}
+    _, out, _ = run_cli(capsys, "--config", str(cfg), "qvar", "--n-list", "4",
+                        "--seed", "1")
+    doc = json.loads(out)
+    assert (doc["config"]["beta"], doc["config"]["paths"]) == (2.0, 7)
 
 
 def test_missing_seed_exits_two(capsys):

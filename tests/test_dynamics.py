@@ -100,10 +100,10 @@ def test_transform_y_matches_covariance_mc(p111):
 
 def test_transform_y_single_path(p111):
     t = np.linspace(0.0, 1.0, 9)
-    path = sampler.PathSample(t, np.ones(9))
-    y = dynamics.transform_y(p111, path)
+    y = dynamics.transform_y_batch(p111, t, np.ones((1, 9)))
     # constant path: y(t) = 1/omega + t
-    assert np.allclose(y.values, 1.0 / p111.omega + t, atol=1e-12)
+    assert y.shape == (1, 9)
+    assert np.allclose(y[0], 1.0 / p111.omega + t, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +192,30 @@ def test_fk_estimate_mc_validation(p111):
     with pytest.raises(ParameterError):
         dynamics.fk_estimate_mc(p111, potentials.zero(), [0.0], delta=0.0,
                                 n_paths=10, seed=0)
+
+
+def _y_covariance_cosh_sinh(p, t, s):
+    # reference: the direct cosh/sinh form, valid until cosh overflows (beta*omega ~ 1420)
+    w, half = p.omega, 0.5 * p.beta * p.omega
+    bracket = (2.0 * (1.0 / w + min(s, t)) * math.sinh(half) - math.cosh(half) / w
+               + (math.cosh(w * s - half) + math.sinh(w * s - half)) / w
+               + (math.cosh(w * t - half) + math.sinh(w * t - half)) / w)
+    return bracket / (2.0 * p.m * w**2 * math.sinh(half))
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1500.0, 1.0), (2.0, 3000.0, 0.5)])
+def test_y_covariance_large_beta_omega(m, omega, beta):
+    p = MeasureParams(m, omega, beta)
+    for s, t in ((0.0, 1.0), (0.3, 0.7), (0.5, 0.5), (0.1, 0.9)):
+        s, t = s * beta, t * beta
+        var = (dynamics.y_covariance(p, t, t) + dynamics.y_covariance(p, s, s)
+               - 2.0 * dynamics.y_covariance(p, t, s))
+        assert math.isfinite(var)
+        assert var == pytest.approx(dynamics.y_increment_variance(p, t, s), rel=1e-12,
+                                    abs=1e-300)
+
+
+def test_y_covariance_unchanged_at_moderate_parameters(p111):
+    for s, t in ((0.0, 0.0), (0.3, 0.7), (1.0, 1.0), (0.5, 0.2), (0.0, 1.0)):
+        assert dynamics.y_covariance(p111, t, s) == pytest.approx(
+            _y_covariance_cosh_sinh(p111, t, s), rel=4e-15)

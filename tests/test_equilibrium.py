@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bogopath import equilibrium, potentials
+from bogopath import equilibrium, potentials, sampler
 from bogopath.params import MeasureParams, ParameterError
 
 # Gibbs mean square of q for the free measure at m = omega = beta = 1:
@@ -49,6 +49,37 @@ def test_domination_holds_for_quartic(p111):
     # shared seed makes the comparison samplewise: strict ordering expected
     assert np.all(rep.r_values <= rep.r_zero)
     assert np.all(np.diff(rep.r_values) < 0)  # larger shift, smaller R
+
+
+def test_domination_check_draws_each_path_once(p111, monkeypatch):
+    build = sampler.finite_dim_drawer
+    rows = []
+
+    def counting_drawer(p, n_grid):
+        times, draw = build(p, n_grid)
+
+        def counted(rng, count):
+            rows.append(count)
+            return draw(rng, count)
+
+        return times, counted
+
+    monkeypatch.setattr(sampler, "finite_dim_drawer", counting_drawer)
+    equilibrium.domination_check(p111, potentials.quartic(1.0), [0.25, 0.5, 1.0],
+                                 n_paths=5000, n_grid=16, seed=3)
+    assert sum(rows) == 5000  # R(0) and three shifts from one pass
+
+
+def test_domination_check_matches_r_of_h(p111):
+    v, hs = potentials.quartic(1.0), (0.25, 0.5, 1.0)
+    rep = equilibrium.domination_check(p111, v, hs, n_paths=10_000, n_grid=32, seed=7)
+    ref0 = equilibrium.r_of_h(p111, v, 0.0, 10_000, 32, seed=7, method="direct")
+    assert rep.r_zero == pytest.approx(ref0.estimate, rel=1e-12)
+    assert rep.r_zero_error == pytest.approx(ref0.std_error, rel=1e-12)
+    for h, r, err in zip(hs, rep.r_values, rep.r_errors):
+        ref = equilibrium.r_of_h(p111, v, h, 10_000, 32, seed=7, method="direct")
+        assert r == pytest.approx(ref.estimate, rel=1e-12)
+        assert err == pytest.approx(ref.std_error, rel=1e-12)
 
 
 def test_mean_square_q_free_measure(p111):

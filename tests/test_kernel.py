@@ -160,3 +160,8 @@ def test_params_validation():
         MeasureParams(m=1.0, omega=-1.0, beta=1.0)
     with pytest.raises(ParameterError):
         MeasureParams(m=1.0, omega=1.0, beta=math.nan)
+    with pytest.raises(ParameterError):
+        MeasureParams(m=True, omega=1.0, beta=1.0)
+    p = MeasureParams(np.int64(1), np.float32(1.0), 1)  # any real but a bool
+    assert (type(p.m), type(p.omega), type(p.beta)) == (float, float, float)
+    assert p.marginal_variance == MeasureParams(1.0, 1.0, 1.0).marginal_variance

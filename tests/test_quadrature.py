@@ -97,7 +97,7 @@ def test_continuous_rho_reproduces_kernel(p111):
 
 def test_continuous_rho_pointwise(p111):
     rho = quadrature.ContinuousRho(p111)
-    assert quadrature.rho_continuous(p111, 0.0, 0.5) == 0.0  # sgn(0) = 0
+    assert rho.rho(0.0, 0.5) == 0.0  # sgn(0) = 0
     assert rho.rho(0.3, 0.5) == -rho.rho(-0.3, 0.5)
     with pytest.raises(kernel.DomainError):
         rho.rho(2.0, 0.5)
@@ -185,7 +185,7 @@ def test_thm2_in_direct_equals_recursive(p111):
         ((1.0, (0.2, 0.7)), (0.5, (0.1, 0.4, 0.6, 0.9)), (2.0, ())))
     for n in (1, 2, 3, 4):
         for scaling in ("sqrt_shift", "sqrt_factorial"):
-            direct = quadrature.thm2_In_direct(p111, poly, n, rho, scaling)
+            direct = quadrature.thm2_integrate(p111, poly, n, float(n), rho, scaling)
             rec = quadrature.thm2_In_recursive(p111, poly, n, rho, scaling)
             assert direct == pytest.approx(rec, rel=1e-10, abs=1e-10)
 
@@ -198,13 +198,13 @@ def test_thm2_in_exactness_and_scaling_variants(p111):
             times = rng.uniform(0.0, p111.beta, size=degree)
             poly = quadrature.FunctionalPolynomial.monomial(times)
             exact = poly.gauss_expectation(p111)
-            got = quadrature.thm2_In_direct(p111, poly, n, rho, "sqrt_shift")
+            got = quadrature.thm2_integrate(p111, poly, n, float(n), rho, "sqrt_shift")
             assert abs(got - exact) / (1.0 + abs(exact)) < 1e-8
     # the two scalings coincide for k <= 2 (1/sqrt(1), 1/sqrt(2)), so every
     # n <= 2 rule is identical; they differ from n = 3 on
     poly = quadrature.FunctionalPolynomial.monomial((0.2,) * 6)
-    a = quadrature.thm2_In_direct(p111, poly, 3, rho, "sqrt_shift")
-    b = quadrature.thm2_In_direct(p111, poly, 3, rho, "sqrt_factorial")
+    a = quadrature.thm2_integrate(p111, poly, 3, 3.0, rho, "sqrt_shift")
+    b = quadrature.thm2_integrate(p111, poly, 3, 3.0, rho, "sqrt_factorial")
     assert abs(a - b) > 1e-6
 
 
@@ -268,3 +268,23 @@ def test_thm4_a_k_matches_quadrature_identity(p111):
     consts = quadrature.thm4_constants(p111, 10)
     assert np.all(consts.a_seq > 0)
     assert np.all(np.diff(consts.a_seq) < 0)  # decreasing in |k|
+
+
+def test_continuous_rho_large_beta_omega():
+    # e^(beta*omega) alone overflows past beta*omega ~ 709
+    p = MeasureParams(m=1.0, omega=800.0, beta=1.0)
+    rho = quadrature.ContinuousRho(p)
+    u = np.linspace(-1.0, 1.0, 41)
+    assert np.isfinite(rho.rho(u, 0.4)).all()
+    for t, s in ((0.3, 0.3), (0.2, 0.21), (0.1, 0.105), (0.9, 0.95), (0.0, 1.0)):
+        assert rho.moment((t, s)) == pytest.approx(kernel.covariance(p, t, s), rel=1e-6)
+
+
+def test_continuous_rho_unchanged_at_moderate_parameters(p111):
+    # reference: the two-exponential form, valid until e^(beta*omega) overflows (~709)
+    rho = quadrature.ContinuousRho(p111)
+    u, t = np.meshgrid(np.linspace(-1.0, 1.0, 21), np.linspace(0.0, 1.0, 11))
+    bw = p111.beta * p111.omega
+    old = (math.sqrt(p111.beta / p111.m) / math.expm1(bw) * np.exp(t - np.abs(u))
+           * np.where(t >= np.abs(u), 1.0, math.exp(bw)) * np.sign(u))
+    np.testing.assert_allclose(rho.rho(u, t), old, rtol=1e-15, atol=0)

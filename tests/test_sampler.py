@@ -9,25 +9,26 @@ from bogopath.params import MeasureParams, ParameterError
 
 
 def test_sample_finite_marginal_statistics(p111):
-    batch = sampler.sample_finite(p111, 32, 20_000, seed=1)
-    var = batch.values[:, 0].var(ddof=1)
-    se = p111.marginal_variance * math.sqrt(2.0 / (len(batch) - 1))
+    _, values = sampler.sample_finite(p111, 32, 20_000, seed=1)
+    var = values[:, 0].var(ddof=1)
+    se = p111.marginal_variance * math.sqrt(2.0 / (len(values) - 1))
     assert abs(var - p111.marginal_variance) < 4.0 * se
 
 
 def test_sample_finite_covariance_structure(p111):
-    batch = sampler.sample_finite(p111, 16, 50_000, seed=2)
-    emp = np.cov(batch.values[:, :16].T)
+    _, values = sampler.sample_finite(p111, 16, 50_000, seed=2)
+    emp = np.cov(values[:, :16].T)
     gc = kernel.grid_covariance(p111, 16)
     assert np.max(np.abs(emp - gc.a)) < 0.02
 
 
 def test_sample_kl_periodic_and_consistent(p111):
-    batch = sampler.sample_kl(p111, 64, 48, 50_000, seed=3)
-    assert np.all(batch.values[:, 0] == batch.values[:, -1])
-    var = batch.values[:, 0].var(ddof=1)
+    times, values = sampler.sample_kl(p111, 64, 48, 50_000, seed=3)
+    assert times.shape == (49,) and values.shape == (50_000, 49)
+    assert np.all(values[:, 0] == values[:, -1])
+    var = values[:, 0].var(ddof=1)
     trunc_var = kernel.truncated_kernel(p111, 0.0, 0.0, 64)
-    se = trunc_var * math.sqrt(2.0 / (len(batch) - 1))
+    se = trunc_var * math.sqrt(2.0 / (len(values) - 1))
     assert abs(var - trunc_var) < 4.0 * se
 
 
@@ -40,11 +41,11 @@ def test_path_sample_rejects_open_path(p111):
 
 
 def test_same_seed_reproduces_bitwise(p111):
-    a = sampler.sample_finite(p111, 16, 5000, seed=42)
-    b = sampler.sample_finite(p111, 16, 5000, seed=42)
-    assert np.array_equal(a.values, b.values)
-    c = sampler.sample_finite(p111, 16, 5000, seed=43)
-    assert not np.array_equal(a.values, c.values)
+    _, a = sampler.sample_finite(p111, 16, 5000, seed=42)
+    _, b = sampler.sample_finite(p111, 16, 5000, seed=42)
+    assert np.array_equal(a, b)
+    _, c = sampler.sample_finite(p111, 16, 5000, seed=43)
+    assert not np.array_equal(a, c)
 
 
 def test_estimate_thread_count_invariance(p111):
@@ -84,8 +85,13 @@ def test_estimate_ergodic_mean_square(p111):
 
 
 def test_estimate_plain_callable_functional(p111):
-    rep = sampler.estimate(p111, lambda path: float(path.values[0] ** 2),
-                           method="finite", n_paths=2000, n_grid=16, seed=10)
+    # a plain callable on one path is refused; its batch form is the functional
+    with pytest.raises(ParameterError):
+        sampler.estimate(p111, lambda path: float(path.values[0] ** 2),
+                         method="finite", n_paths=2000, n_grid=16, seed=10)
+    x0_squared = functionals.PathFunctional("x0_squared", lambda t, v: v[:, 0] ** 2)
+    rep = sampler.estimate(p111, x0_squared, method="finite", n_paths=2000, n_grid=16,
+                           seed=10)
     assert abs(rep.estimate - p111.marginal_variance) < 5.0 * rep.std_error
 
 
@@ -140,8 +146,8 @@ def test_estimate_rejects_empty_path_count(p111, n_paths):
 
 def test_seed_outside_philox_key_range(p111):
     # -1 and 2**64 - 1 used to share one stream through a 64-bit mask
-    top = sampler.sample_kl(p111, 4, 8, 10, seed=2**64 - 1)
-    assert np.isfinite(top.values).all()
+    _, top = sampler.sample_kl(p111, 4, 8, 10, seed=2**64 - 1)
+    assert np.isfinite(top).all()
     for seed in (-1, 2**64):
         with pytest.raises(ParameterError):
             sampler.sample_kl(p111, 4, 8, 10, seed=seed)
@@ -192,24 +198,24 @@ def test_finite_drawer_tiny_omega():
     # well-defined laws whose grid covariance is numerically singular at N=512
     for beta in (1e-9, 1.0):
         p = MeasureParams(m=1.0, omega=1e-9, beta=beta)
-        batch = sampler.sample_finite(p, 512, 20_000, seed=12)
-        assert np.isfinite(batch.values).all()
-        var = batch.values[:, 0].var(ddof=1)
-        se = p.marginal_variance * math.sqrt(2.0 / (len(batch) - 1))
+        _, values = sampler.sample_finite(p, 512, 20_000, seed=12)
+        assert np.isfinite(values).all()
+        var = values[:, 0].var(ddof=1)
+        se = p.marginal_variance * math.sqrt(2.0 / (len(values) - 1))
         assert abs(var - p.marginal_variance) < 4.0 * se
 
 
 def test_sample_finite_matches_reference_map(p111):
     # the spectral map written out on each chunk's normals: rfft, scale, irfft, close
     for n in (7, 8):
-        batch = sampler.sample_finite(p111, n, 700, seed=13, chunk_size=256)
+        _, values = sampler.sample_finite(p111, n, 700, seed=13, chunk_size=256)
         sqrt_mu = np.sqrt(kernel.grid_spectrum(p111, n))
         parts = []
         for ci, count in enumerate((256, 256, 188)):
             z = sampler._chunk_rng(13, ci).standard_normal((count, n))
             vals = np.fft.irfft(np.fft.rfft(z, axis=1) * sqrt_mu, n=n, axis=1)
             parts.append(np.concatenate([vals, vals[:, :1]], axis=1))
-        assert np.array_equal(batch.values, np.concatenate(parts))
+        assert np.array_equal(values, np.concatenate(parts))
 
 
 @pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.5, 0.3, 7.0),

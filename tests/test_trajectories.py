@@ -12,6 +12,9 @@ from bogopath.params import MeasureParams, ParameterError
 QVAR_MEAN_N8 = 0.8671829188447226
 QVAR_SECOND_N8 = 0.9668840858210409
 
+# E[S_N] at m = omega = beta = 1 from the cosh form in 60-digit arithmetic
+QVAR_MEAN_60_DIGITS = {64: 0.9831344606021105, 16384: 0.9999339620034986}
+
 # exact two-point Holder set measure at t = 0.2, t' = 0.35, h = 1,
 # gamma = 0.5 (m = omega = beta = 1), via erf of the scaled increment
 HOLDER_MEASURE = 0.7244371618904403
@@ -111,3 +114,19 @@ def test_holder_measure_validation(p111):
         trajectories.holder_set_measure(p111, 0.1, 0.2, h=-1.0, gamma=0.5)
     with pytest.raises(ParameterError):
         trajectories.holder_set_measure(p111, 0.1, 0.2, h=1.0, gamma=1.5)
+
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1500.0, 1.0), (2.0, 3000.0, 0.5)])
+def test_exact_mean_large_beta_omega(m, omega, beta):
+    p = MeasureParams(m, omega, beta)
+    for n in (2, 16, 64):
+        mean = trajectories.qvar_exact_mean(p, n)
+        assert math.isfinite(mean)
+        assert mean == pytest.approx(trajectories.qvar_moments_bruteforce(p, n)[0], rel=1e-12)
+
+
+def test_exact_mean_does_not_cancel_at_large_n(p111):
+    # a difference of cosh values loses ~1e-12 here; the expm1 form keeps ~1 ulp
+    for n, exact in QVAR_MEAN_60_DIGITS.items():
+        assert trajectories.qvar_exact_mean(p111, n) == pytest.approx(exact, rel=1e-15)

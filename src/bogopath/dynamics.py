@@ -12,7 +12,8 @@ Three layers:
   from its Volterra integral form by product integration (the free-kernel
   time mass over each slice is integrated in closed form, which absorbs the
   (beta - tau)^(-1/2) endpoint singularity), cross-checked by a
-  Crank-Nicolson finite-difference reference and by mollified Monte Carlo.
+  Crank-Nicolson finite-difference reference and by mollified Monte Carlo,
+  and for a harmonic V checked against the closed-form Mehler kernel.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 import scipy.integrate
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.special
 
 from . import sampler
-from .params import MeasureParams, ParameterError, cosh_over_sinh, sinh_over_sinh
+from .params import MeasureParams, ParameterError, cosh_over_sinh, coth, sinh_over_sinh
 from .potentials import Potential
 
 _GH_ORDER = 80
@@ -130,6 +131,26 @@ def fk_free(p: MeasureParams, beta_arg: float, xi) -> np.ndarray | float:
     xi = np.asarray(xi, dtype=float)
     c = p.m * p.omega**2
     out = np.sqrt(c / (2.0 * math.pi * beta_arg)) * np.exp(-c * xi**2 / (2.0 * beta_arg))
+    return float(out) if out.ndim == 0 else out
+
+
+def fk_harmonic(p: MeasureParams, kappa: float, beta_arg: float, xi) -> np.ndarray | float:
+    """Mehler kernel, the fundamental solution for V = (kappa/2) xi^2:
+    sqrt(M Omega/(2 pi sinh(Omega beta))) exp(-M Omega xi^2 coth(Omega beta)/2),
+    M = m*omega^2, Omega = sqrt(kappa/M).
+
+    log sinh(x) = x + log(-expm1(-2x)) - log 2 keeps the prefactor finite
+    where sinh(Omega beta) alone would overflow.
+    """
+    if kappa <= 0 or beta_arg <= 0:
+        raise ParameterError("need kappa > 0 and beta > 0 for the Mehler kernel")
+    xi = np.asarray(xi, dtype=float)
+    mass = p.m * p.omega**2
+    freq = math.sqrt(kappa / mass)
+    x = freq * beta_arg
+    log_sinh = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
+    out = (math.sqrt(mass * freq / (2.0 * math.pi)) * math.exp(-0.5 * log_sinh)
+           * np.exp(-0.5 * mass * freq * coth(x) * xi**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -249,8 +270,16 @@ def fk_reference_fd(p: MeasureParams, v_pot: Potential, beta_max: float,
 
     Starts at a small beta_init from free * exp(-beta_init * V) (the delta
     initial condition regularized by the short-time product formula) and
-    marches to beta_max with zero boundary values.
+    marches to beta_max with zero boundary values.  The implicit matrix
+    M = I + (d_tau/2)(-D Lap + diag V), D = 1/(2 m omega^2), is constant,
+    symmetric and tridiagonal: it is factored once as L D L^T (LAPACK
+    dpttrf) and each step is one explicit half-step and one dpttrs solve.
+    M is positive definite whenever 1 + d_tau * min(V)/2 > 0, so for any
+    V >= 0; a very negative d_tau * V can break this, and then
+    ParameterError asks for more time steps.
     """
+    if n_tau < 1 or n_xi < 3 or not 0.0 < beta_init < beta_max:
+        raise ParameterError("need n_tau >= 1, n_xi >= 3 and 0 < beta_init < beta_max")
     if xi_max is None:
         xi_max = 8.0 * math.sqrt(beta_max / (p.m * p.omega**2))
     xi = np.linspace(-xi_max, xi_max, n_xi)
@@ -258,28 +287,39 @@ def fk_reference_fd(p: MeasureParams, v_pot: Potential, beta_max: float,
     d_tau = (beta_max - beta_init) / n_tau
     diff = 1.0 / (2.0 * p.m * p.omega**2)
     v_vals = v_pot(xi)
+    if not np.all(np.isfinite(v_vals)):
+        raise ParameterError("the potential is not finite on the xi grid")
 
-    # banded I -+ (d_tau/2) A with A = diff * Lap - diag(V), zero Dirichlet ends
-    lower = np.full(n_xi, -0.5 * d_tau * diff / h**2)
+    # implicit M = I - (d_tau/2) A and explicit I + (d_tau/2) A, with
+    # A = diff * Lap - diag(V): diagonals diag and 2 - diag, off-diagonals -c and c
+    c = 0.5 * d_tau * diff / h**2
     diag = 1.0 + d_tau * (diff / h**2 + 0.5 * v_vals)
-    ab = np.zeros((3, n_xi))
-    ab[0, 1:] = lower[1:]
-    ab[1] = diag
-    ab[2, :-1] = lower[:-1]
+    explicit_diag = 2.0 - diag
+    l_diag, l_off, info = scipy.linalg.lapack.dpttrf(diag, np.full(n_xi - 1, -c))
+    if info != 0:
+        raise ParameterError(
+            f"Crank-Nicolson matrix is not positive definite (d_tau * min V = "
+            f"{d_tau * float(np.min(v_vals)):.3g}); take more time steps")
 
     u = fk_free(p, beta_init, xi) * np.exp(-beta_init * v_vals)
+    rhs = np.empty(n_xi)
     keep = max(1, n_tau // 200)
     betas, frames = [beta_init], [u.copy()]
-    for step in range(1, n_tau + 1):
-        lap = np.zeros_like(u)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        rhs = u + 0.5 * d_tau * (diff * lap - v_vals * u)
-        rhs[0] = rhs[-1] = 0.0
-        u = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        if step % keep == 0:
-            betas.append(beta_init + step * d_tau)
-            frames.append(u.copy())
-    return FKSolution(betas=np.asarray(betas), xi=xi, u=np.stack(frames),
+    # an overflow is reported once, by the finiteness check after the march
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_tau + 1):
+            np.multiply(explicit_diag, u, out=rhs)
+            rhs[1:-1] += c * (u[2:] + u[:-2])
+            rhs[0] = rhs[-1] = 0.0
+            # the solve overwrites rhs, which becomes the new u
+            u, rhs = scipy.linalg.lapack.dpttrs(l_diag, l_off, rhs, overwrite_b=1)[0], u
+            if step % keep == 0:
+                betas.append(beta_init + step * d_tau)
+                frames.append(u.copy())
+    frames = np.stack(frames)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(frames))):
+        raise ParameterError("Crank-Nicolson march is not finite")
+    return FKSolution(betas=np.asarray(betas), xi=xi, u=frames,
                       error_estimate=float("nan"))
 
 

@@ -101,10 +101,13 @@ def fredholm_det(p: MeasureParams, lam: float) -> FredholmResult:
     _check_lambda(p, lam)
     shifted = 0.5 * p.beta * math.sqrt(p.omega**2 - lam / p.m)
     if lam <= 0:
+        # D_B grows like exp(beta*sqrt(-lambda/m)): past 2^1024 it has no float64 value
         ratio = sinh_over_sinh(p.half_bw, shifted)
-        value = 1.0 / ratio**2
+        value = 1.0 / ratio**2 if ratio > 2.0**-512 else math.inf
     else:
         value = sinh_over_sinh(shifted, p.half_bw) ** 2
+    if not math.isfinite(value):
+        raise ParameterError(f"D_B(lambda={lam}) is not finite in float64")
     return FredholmResult(lam, value)
 
 

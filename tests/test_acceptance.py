@@ -69,6 +69,12 @@ def test_criterion_7_feynman_kac():
     _assert_passes(res)
     assert res.details["volterra_free_err"] <= 1e-6
     assert res.details["quadratic_rel_err_vs_fd"] <= 1e-4
+    assert 0.0 < res.details["fd_rel_err_vs_exact"] <= 1e-4
+    assert 0.0 < res.details["volterra_rel_err_vs_exact"] <= 1e-4
+    # --quick runs neither solver, so it reports no Mehler errors rather than zeros
+    quick = verify.check_feynman_kac(seed=0, quick=True)
+    assert "fd_rel_err_vs_exact" not in quick.details
+    assert "volterra_rel_err_vs_exact" not in quick.details
 
 
 def test_criterion_8_equilibrium_bounds():

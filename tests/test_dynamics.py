@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bogopath import dynamics, potentials, sampler
 from bogopath.params import MeasureParams, ParameterError
@@ -138,17 +139,45 @@ def test_volterra_constant_potential(p111):
     assert sol.error_estimate < 1e-2
 
 
+def test_fk_harmonic_unit_parameters(p111):
+    # V = xi^2/2 with diffusion 1/2: sqrt(1/(2 pi sinh b)) exp(-xi^2 cosh b / (2 sinh b))
+    for b in (0.3, 1.0, 4.0):
+        for x in (0.0, 0.7, -2.1):
+            expect = math.sqrt(1.0 / (2 * math.pi * math.sinh(b))) * math.exp(
+                -x**2 * math.cosh(b) / (2 * math.sinh(b)))
+            assert dynamics.fk_harmonic(p111, 1.0, b, x) == pytest.approx(expect, rel=1e-14)
+
+
+def test_fk_harmonic_limits_and_validation(p111):
+    xi = np.linspace(-0.05, 0.05, 5)
+    # short times: the potential has not acted yet
+    assert np.allclose(dynamics.fk_harmonic(p111, 1.0, 1e-6, xi),
+                       dynamics.fk_free(p111, 1e-6, xi), rtol=1e-6)
+    # Omega beta = 1000: sinh alone overflows, the kernel is exp(-500)/sqrt(pi)
+    assert dynamics.fk_harmonic(p111, 1.0, 1000.0, 0.0) == pytest.approx(
+        math.exp(-500.0) / math.sqrt(math.pi), rel=1e-12)
+    for kappa, b in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ParameterError):
+            dynamics.fk_harmonic(p111, kappa, b, 0.0)
+
+
 def test_volterra_harmonic_potential_closed_form(p111):
-    # V = xi^2/2 with diffusion 1/2 has the exact kernel
-    # sqrt(1/(2 pi sinh b)) exp(-xi^2 cosh b / (2 sinh b))
     sol = dynamics.fk_solve_volterra(p111, potentials.quadratic(1.0), beta_max=1.0,
                                      n_tau=80, n_xi=513)
-    b = 1.0
-    x = sol.xi
-    exact = np.sqrt(1.0 / (2 * math.pi * math.sinh(b))) * np.exp(
-        -x**2 * math.cosh(b) / (2 * math.sinh(b)))
+    exact = dynamics.fk_harmonic(p111, 1.0, 1.0, sol.xi)
     rel = np.max(np.abs(sol.u[-1] - exact)) / np.max(exact)
     assert rel < 2e-4
+
+
+@pytest.mark.parametrize("m, omega, kappa, beta", [
+    (1.0, 1.0, 1.0, 1.0), (2.0, 0.7, 1.5, 0.8), (0.5, 2.0, 3.0, 1.3)])
+def test_fd_reference_harmonic_closed_form(m, omega, kappa, beta):
+    p = MeasureParams(m, omega, beta)
+    ref = dynamics.fk_reference_fd(p, potentials.quadratic(kappa), beta_max=beta,
+                                   n_tau=4000, n_xi=1025)
+    exact = dynamics.fk_harmonic(p, kappa, beta, ref.xi)
+    assert ref.betas[-1] == pytest.approx(beta, rel=1e-14)
+    assert np.max(np.abs(ref.u[-1] - exact)) / np.max(exact) < 1e-4
 
 
 def test_volterra_vs_fd_reference(p111):
@@ -158,6 +187,72 @@ def test_volterra_vs_fd_reference(p111):
                                    xi_max=float(sol.xi[-1]))
     rel = np.max(np.abs(sol.u[-1] - ref.u[-1][::2])) / np.max(np.abs(ref.u[-1]))
     assert rel < 5e-4
+
+
+def _banded_march(p, v_pot, beta_max, n_tau, n_xi, beta_init=1e-3):
+    """Crank-Nicolson with a new banded LU solve at every step: the unfactored
+    reference for the dpttrf/dpttrs march of fk_reference_fd."""
+    xi_max = 8.0 * math.sqrt(beta_max / (p.m * p.omega**2))
+    xi = np.linspace(-xi_max, xi_max, n_xi)
+    h = xi[1] - xi[0]
+    d_tau = (beta_max - beta_init) / n_tau
+    diff = 1.0 / (2.0 * p.m * p.omega**2)
+    v_vals = v_pot(xi)
+    lower = np.full(n_xi, -0.5 * d_tau * diff / h**2)
+    diag = 1.0 + d_tau * (diff / h**2 + 0.5 * v_vals)
+    ab = np.zeros((3, n_xi))
+    ab[0, 1:] = lower[1:]
+    ab[1] = diag
+    ab[2, :-1] = lower[:-1]
+    u = dynamics.fk_free(p, beta_init, xi) * np.exp(-beta_init * v_vals)
+    keep = max(1, n_tau // 200)
+    frames = [u.copy()]
+    for step in range(1, n_tau + 1):
+        lap = np.zeros_like(u)
+        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+        rhs = u + 0.5 * d_tau * (diff * lap - v_vals * u)
+        rhs[0] = rhs[-1] = 0.0
+        u = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        if step % keep == 0:
+            frames.append(u.copy())
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("v_pot", [potentials.quartic(1.0), potentials.quadratic(-1.0),
+                                   potentials.constant(-3.0), potentials.zero()],
+                         ids=lambda v: v.name)
+def test_fd_reference_factored_matches_banded_march(p111, v_pot):
+    ref = dynamics.fk_reference_fd(p111, v_pot, beta_max=1.0, n_tau=400, n_xi=513)
+    banded = _banded_march(p111, v_pot, beta_max=1.0, n_tau=400, n_xi=513)
+    assert ref.u.shape == banded.shape == (201, 513)
+    assert np.max(np.abs(ref.u - banded)) <= 1e-12 * np.max(np.abs(banded))
+
+
+def test_fd_reference_rejects_indefinite_matrix(p111):
+    # d_tau * V / 2 = -5000: the march would alternate in sign without bound
+    with pytest.raises(ParameterError, match="positive definite"):
+        dynamics.fk_reference_fd(p111, potentials.constant(-1e5), beta_max=1.0, n_tau=10)
+
+
+def test_fd_reference_rejects_non_finite_values(p111):
+    # positive definite at every step, but u grows like exp(800 beta) and overflows
+    with pytest.raises(ParameterError, match="not finite"):
+        dynamics.fk_reference_fd(p111, potentials.constant(-800.0), beta_max=1.0,
+                                 n_tau=4000, n_xi=101)
+    singular = potentials.Potential("pole", lambda x: np.where(x == 0.0, np.inf, 0.0),
+                                    True, True)
+    with pytest.raises(ParameterError, match="not finite"):
+        dynamics.fk_reference_fd(p111, singular, beta_max=1.0, n_tau=10, n_xi=101)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_tau": 0}, {"n_tau": -5}, {"n_xi": 1}, {"n_xi": 2},
+    {"beta_init": 2.0}, {"beta_init": 1.0}, {"beta_init": 0.0}],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_fd_reference_validation(p111, kwargs):
+    args = {"n_tau": 10, "n_xi": 101, **kwargs}
+    with pytest.raises(ParameterError):
+        dynamics.fk_reference_fd(p111, potentials.zero(), beta_max=1.0, **args)
 
 
 def test_fk_solution_at_interpolates(p111):

@@ -52,6 +52,18 @@ def test_fredholm_det_basics(p111):
         oracle.fredholm_det(p111, 1.0)  # lambda = m*omega^2 is the boundary
 
 
+@pytest.mark.parametrize("lam", [-5.3e5, -6e5, -1e300])
+def test_fredholm_det_past_float64_raises(p111, lam):
+    # D_B ~ exp(sqrt(-lam)) at (1, 1, 1): inf or a division by zero without the check
+    with pytest.raises(ParameterError):
+        oracle.fredholm_det(p111, lam)
+
+
+def test_fredholm_det_finite_just_below_float64(p111):
+    value = oracle.fredholm_det(p111, -5e5).value
+    assert math.isfinite(value) and value > 1e307
+
+
 def test_exp_quadratic_reference_value(p111):
     assert oracle.exp_quadratic(p111, 0.5) == pytest.approx(EXP_QUAD_HALF, rel=1e-7)
 

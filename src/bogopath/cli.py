@@ -29,6 +29,7 @@ _NUMERICAL_ERRORS = (
     sampler.NonFiniteSamplesError,
     oracle.CombinatorialExplosionError,
     np.linalg.LinAlgError,
+    dynamics.ConvergenceError,
 )
 
 

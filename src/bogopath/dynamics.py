@@ -11,9 +11,11 @@ Three layers:
   du/dbeta = (1/(2*m*omega^2)) u_xx - V(xi) u, u(0, .) = delta, computed
   from its Volterra integral form by product integration (the free-kernel
   time mass over each slice is integrated in closed form, which absorbs the
-  (beta - tau)^(-1/2) endpoint singularity), cross-checked by a
-  Crank-Nicolson finite-difference reference and by mollified Monte Carlo,
-  and for a harmonic V checked against the closed-form Mehler kernel.
+  (beta - tau)^(-1/2) endpoint singularity; the history of slices the xi
+  grid resolves is carried by a one-term recursion per frequency),
+  cross-checked by a Crank-Nicolson finite-difference reference and by
+  mollified Monte Carlo, and for a harmonic V checked against the
+  closed-form Mehler kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .params import MeasureParams, ParameterError, cosh_over_sinh, coth, sinh_ov
 from .potentials import Potential
 
 _GH_ORDER = 80
+
+
+class ConvergenceError(RuntimeError):
+    """A Volterra step's fixed-point iteration did not reach its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +195,42 @@ class FKSolution:
         return float(np.interp(xi_val, self.xi, self.u[i]))
 
 
+def _direct_lags(c: float, d_tau: float, d_xi: float, n_tau: int) -> int:
+    """First slice lag >= 1 whose Nyquist factor exp(-lag d_tau pi^2/(2 c d_xi^2))
+    is below 2^-60, capped at n_tau.
+
+    From that lag on the xi grid resolves the free kernel: the transform of
+    its samples is the continuous exp(-s k^2/(2c)) up to aliases below 2^-60
+    of the zero-frequency mass.
+    """
+    nyquist = d_tau * math.pi**2 / (2.0 * c * d_xi**2)
+    return 1 + int(min(60.0 * math.log(2.0) / nyquist, n_tau - 1))
+
+
 def _volterra_grid(p: MeasureParams, v_pot: Potential, beta_max: float,
                    n_tau: int, xi: np.ndarray, fixed_point_tol: float,
                    max_fixed_point: int) -> np.ndarray:
     """Right-endpoint product integration of the Volterra equation.
 
-    Convolutions in xi run in a shared zero-padded FFT space; the free-kernel
-    time masses over each slice offset are transformed once up front, so step
-    k costs one inverse FFT plus a k-term frequency-space accumulation.
+    Convolutions in xi run in a shared zero-padded FFT space.  Once the grid
+    resolves the free kernel, the transform mass_hat[i] of its time mass over
+    slice i is, at each frequency k, a factor shared by all slices times
+    int exp(-s k^2/(2c)) ds over [i d_tau, (i+1) d_tau]; so from lag n_direct
+    on (``_direct_lags``) mass_hat[i + 1] = r mass_hat[i], r = exp(-d_tau k^2/(2c)).
+    Step k sums lags 1..n_direct-1 directly and carries every older slice in
+    one vector, tail <- r tail + g_hat[k - n_direct], weighted by
+    mass_hat[n_direct] (the recursive convolution of Lubich and Schaedle,
+    SIAM J. Sci. Comput. 24 (2002) 161): one inverse FFT and O(n_direct)
+    frequency-space terms per step, not a sum over every past slice.  On a
+    grid too coarse to resolve any lag, n_direct = n_tau and every lag is
+    summed directly.
+
+    The directly summed masses are of the kernel cut at |offset| <= xi_max,
+    while the recursion carries the uncut kernel; so a xi_max narrower than
+    the default 8 sqrt(beta_max/c) moves u by at most the kernel's mass
+    beyond xi_max.
     """
+    c = p.m * p.omega**2
     d_tau = beta_max / n_tau
     n_xi = len(xi)
     d_xi = xi[1] - xi[0]
@@ -207,19 +240,27 @@ def _volterra_grid(p: MeasureParams, v_pot: Potential, beta_max: float,
     n_fft = scipy.fft.next_fast_len(2 * n_xi - 1)
     # same-mode slice of the full linear convolution for a centered kernel
     lo = n_xi // 2
+    n_direct = _direct_lags(c, d_tau, d_xi, n_tau)
     mass_hat = np.stack([
         np.fft.rfft(_kernel_time_mass(p, i * d_tau, (i + 1) * d_tau, offsets), n_fft)
-        for i in range(n_tau)
+        for i in range(n_direct + 1)
     ])
-    g_hat = np.zeros((n_tau + 1, mass_hat.shape[1]), dtype=complex)
+    k_freq = 2.0 * math.pi * np.arange(mass_hat.shape[1]) / (n_fft * d_xi)
+    ratio = np.exp(-d_tau * k_freq**2 / (2.0 * c))
+    tail = np.zeros(mass_hat.shape[1], dtype=complex)
+    # at step k, recent[j] holds g_hat[k - n_direct + j], zero before slice 1
+    recent = np.zeros((n_direct, mass_hat.shape[1]), dtype=complex)
     u = np.zeros((n_tau + 1, n_xi))
     for k in range(1, n_tau + 1):
         rhs = fk_free(p, betas[k], xi)
         if k > 1:
-            acc = np.einsum("ij,ij->j", mass_hat[k - 1:0:-1], g_hat[1:k])
+            tail = ratio * tail + recent[0]
+            acc = mass_hat[n_direct] * tail + np.einsum(
+                "ij,ij->j", mass_hat[n_direct - 1:0:-1], recent[1:])
             rhs = rhs - d_xi * np.fft.irfft(acc, n_fft)[lo:lo + n_xi]
         # slice j = k enters implicitly: fixed-point iteration, contraction
-        # factor ~ ||V|| * (total mass of the short-time kernel) = O(sqrt(d_tau))
+        # factor ~ max|V| * d_xi * sum(slice-0 mass), which is max|V| * d_tau
+        # on a grid that resolves the short-time kernel
         u_k = rhs.copy()
         for _ in range(max_fixed_point):
             gk = np.fft.rfft(v_vals * u_k, n_fft)
@@ -228,8 +269,15 @@ def _volterra_grid(p: MeasureParams, v_pot: Potential, beta_max: float,
             u_k = u_next
             if delta < fixed_point_tol:
                 break
+        else:
+            raise ConvergenceError(
+                f"fixed point of step {k} of {n_tau} still moved by {delta:.3g} after "
+                f"{max_fixed_point} iterations (max|V| = {np.max(np.abs(v_vals)):.3g} "
+                "on the xi grid); its contraction factor grows with max|V| * d_tau, "
+                "so take more time steps or a smaller xi_max")
         u[k] = u_k
-        g_hat[k] = np.fft.rfft(v_vals * u_k, n_fft)
+        recent[:-1] = recent[1:]
+        recent[-1] = np.fft.rfft(v_vals * u_k, n_fft)
     return u
 
 
@@ -243,14 +291,20 @@ def fk_solve_volterra(p: MeasureParams, v_pot: Potential, beta_max: float,
     is first order; with ``richardson`` a halved-step solve is combined as
     2*u(h/2) - u(h) for second order.  The reported error estimate is the
     coarse/fine disagreement on shared slices, a proxy for the remaining
-    truncation error.
+    truncation error.  A step whose fixed point does not settle below
+    ``fixed_point_tol`` in ``max_fixed_point`` iterations raises
+    ConvergenceError.
     """
     if beta_max <= 0 or n_tau < 2:
         raise ParameterError("need beta_max > 0 and n_tau >= 2")
-    if n_xi % 2 == 0:
-        raise ParameterError("n_xi must be odd so the grid is centered at xi = 0")
+    if n_xi < 3 or n_xi % 2 == 0:
+        raise ParameterError("n_xi must be odd and >= 3 so the grid is centered at xi = 0")
+    if not fixed_point_tol > 0 or max_fixed_point < 1:
+        raise ParameterError("need fixed_point_tol > 0 and max_fixed_point >= 1")
     if xi_max is None:
         xi_max = 8.0 * math.sqrt(beta_max / (p.m * p.omega**2))
+    if not (math.isfinite(xi_max) and xi_max > 0):
+        raise ParameterError("xi_max must be finite and > 0")
     xi = np.linspace(-xi_max, xi_max, n_xi)
     u = _volterra_grid(p, v_pot, beta_max, n_tau, xi, fixed_point_tol, max_fixed_point)
     betas = (beta_max / n_tau) * np.arange(n_tau + 1)
@@ -276,7 +330,8 @@ def fk_reference_fd(p: MeasureParams, v_pot: Potential, beta_max: float,
     dpttrf) and each step is one explicit half-step and one dpttrs solve.
     M is positive definite whenever 1 + d_tau * min(V)/2 > 0, so for any
     V >= 0; a very negative d_tau * V can break this, and then
-    ParameterError asks for more time steps.
+    ParameterError asks for more time steps.  Every max(1, n_tau // 200)-th
+    step is kept, and always the last, so u[-1] is the solution at beta_max.
     """
     if n_tau < 1 or n_xi < 3 or not 0.0 < beta_init < beta_max:
         raise ParameterError("need n_tau >= 1, n_xi >= 3 and 0 < beta_init < beta_max")
@@ -313,7 +368,7 @@ def fk_reference_fd(p: MeasureParams, v_pot: Potential, beta_max: float,
             rhs[0] = rhs[-1] = 0.0
             # the solve overwrites rhs, which becomes the new u
             u, rhs = scipy.linalg.lapack.dpttrs(l_diag, l_off, rhs, overwrite_b=1)[0], u
-            if step % keep == 0:
+            if step % keep == 0 or step == n_tau:
                 betas.append(beta_init + step * d_tau)
                 frames.append(u.copy())
     frames = np.stack(frames)

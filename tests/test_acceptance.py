@@ -71,8 +71,9 @@ def test_criterion_7_feynman_kac():
     assert res.details["quadratic_rel_err_vs_fd"] <= 1e-4
     assert 0.0 < res.details["fd_rel_err_vs_exact"] <= 1e-4
     assert 0.0 < res.details["volterra_rel_err_vs_exact"] <= 1e-4
-    # --quick runs neither solver, so it reports no Mehler errors rather than zeros
+    # --quick runs neither solver, so it reports no solver errors rather than zeros
     quick = verify.check_feynman_kac(seed=0, quick=True)
+    assert "quadratic_rel_err_vs_fd" not in quick.details
     assert "fd_rel_err_vs_exact" not in quick.details
     assert "volterra_rel_err_vs_exact" not in quick.details
 

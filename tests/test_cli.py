@@ -199,6 +199,15 @@ def test_numerical_error_exits_one(capsys):
     assert diag["error"] == "CombinatorialExplosionError"
 
 
+def test_fk_divergent_fixed_point_exits_one(capsys):
+    code, out, err = run_cli(capsys, "fk", "--potential", "quartic")
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ConvergenceError"
+    assert "max|V|" in diag["message"]
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

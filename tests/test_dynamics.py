@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from bogopath import dynamics, potentials, sampler
@@ -189,6 +190,78 @@ def test_volterra_vs_fd_reference(p111):
     assert rel < 5e-4
 
 
+def _k_term_grid(p, v_pot, beta_max, n_tau, xi):
+    """Product integration with a k-term history sum over every past slice at
+    step k: the unrecursed reference for the history recursion of
+    dynamics._volterra_grid."""
+    d_tau = beta_max / n_tau
+    n_xi = len(xi)
+    d_xi = xi[1] - xi[0]
+    v_vals = v_pot(xi)
+    offsets = xi - xi[n_xi // 2]
+    n_fft = scipy.fft.next_fast_len(2 * n_xi - 1)
+    lo = n_xi // 2
+    mass_hat = np.stack([
+        np.fft.rfft(dynamics._kernel_time_mass(p, i * d_tau, (i + 1) * d_tau, offsets), n_fft)
+        for i in range(n_tau)
+    ])
+    g_hat = np.zeros((n_tau + 1, mass_hat.shape[1]), dtype=complex)
+    u = np.zeros((n_tau + 1, n_xi))
+    for k in range(1, n_tau + 1):
+        rhs = dynamics.fk_free(p, d_tau * k, xi)
+        if k > 1:
+            acc = np.einsum("ij,ij->j", mass_hat[k - 1:0:-1], g_hat[1:k])
+            rhs = rhs - d_xi * np.fft.irfft(acc, n_fft)[lo:lo + n_xi]
+        u_k = rhs.copy()
+        for _ in range(50):
+            gk = np.fft.rfft(v_vals * u_k, n_fft)
+            u_next = rhs - d_xi * np.fft.irfft(mass_hat[0] * gk, n_fft)[lo:lo + n_xi]
+            delta = float(np.max(np.abs(u_next - u_k)))
+            u_k = u_next
+            if delta < 1e-12:
+                break
+        u[k] = u_k
+        g_hat[k] = np.fft.rfft(v_vals * u_k, n_fft)
+    return u
+
+
+# n_direct per solved grid: 1 sends every lag through the recursion, n_tau none
+@pytest.mark.parametrize("params, v_pot, n_tau, n_xi, richardson, n_direct", [
+    ((1.0, 1.0, 1.0), potentials.quadratic(1.0), 160, 1025, True, (1, 1)),
+    ((1.0, 1.0, 1.0), potentials.quadratic(1.0), 1000, 513, False, (9,)),
+    ((1.0, 1.0, 1.0), potentials.constant(0.7), 8, 33, True, (8, 16)),
+    ((1.0, 1.0, 1.0), potentials.constant(-3.0), 400, 513, False, (4,)),
+    ((2.0, 0.7, 0.8), potentials.quadratic(1.0), 80, 513, True, (1, 2))],
+    ids=["quadratic-160x1025", "quadratic-1000x513", "constant-8x33",
+         "constant-neg3-400x513", "m2-quadratic-80x513"])
+def test_volterra_history_recursion_matches_k_term_sum(params, v_pot, n_tau, n_xi,
+                                                       richardson, n_direct):
+    p = MeasureParams(*params)
+    sol = dynamics.fk_solve_volterra(p, v_pot, beta_max=p.beta, n_tau=n_tau, n_xi=n_xi,
+                                     richardson=richardson)
+    d_xi = sol.xi[1] - sol.xi[0]
+    grids = (n_tau, 2 * n_tau) if richardson else (n_tau,)
+    assert tuple(dynamics._direct_lags(p.m * p.omega**2, p.beta / n, d_xi, n)
+                 for n in grids) == n_direct
+    ref = _k_term_grid(p, v_pot, p.beta, n_tau, sol.xi)
+    if richardson:
+        fine = _k_term_grid(p, v_pot, p.beta, 2 * n_tau, sol.xi)[::2]
+        err = np.max(np.abs(fine - ref))
+        ref = 2.0 * fine - ref
+        assert abs(sol.error_estimate - err) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(sol.u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("v_pot, kwargs", [
+    (potentials.quartic(1.0), {}), (potentials.quartic(0.1), {}),
+    (potentials.quartic(1.0), {"xi_max": 4.0}), (potentials.quadratic(1.0), {"n_xi": 3})],
+    ids=["quartic", "quartic-0.1", "quartic-xi_max=4", "quadratic-n_xi=3"])
+def test_volterra_divergent_fixed_point_raises(p111, v_pot, kwargs):
+    # the slice-0 contraction factor is far above 1 on each of these grids
+    with pytest.raises(dynamics.ConvergenceError, match=r"step \d+ of .* max\|V\|"):
+        dynamics.fk_solve_volterra(p111, v_pot, beta_max=1.0, n_tau=160, **kwargs)
+
+
 def _banded_march(p, v_pot, beta_max, n_tau, n_xi, beta_init=1e-3):
     """Crank-Nicolson with a new banded LU solve at every step: the unfactored
     reference for the dpttrf/dpttrs march of fk_reference_fd."""
@@ -213,7 +286,7 @@ def _banded_march(p, v_pot, beta_max, n_tau, n_xi, beta_init=1e-3):
         rhs = u + 0.5 * d_tau * (diff * lap - v_vals * u)
         rhs[0] = rhs[-1] = 0.0
         u = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        if step % keep == 0:
+        if step % keep == 0 or step == n_tau:
             frames.append(u.copy())
     return np.stack(frames)
 
@@ -225,6 +298,16 @@ def test_fd_reference_factored_matches_banded_march(p111, v_pot):
     ref = dynamics.fk_reference_fd(p111, v_pot, beta_max=1.0, n_tau=400, n_xi=513)
     banded = _banded_march(p111, v_pot, beta_max=1.0, n_tau=400, n_xi=513)
     assert ref.u.shape == banded.shape == (201, 513)
+    assert np.max(np.abs(ref.u - banded)) <= 1e-12 * np.max(np.abs(banded))
+
+
+def test_fd_reference_keeps_final_step(p111):
+    # the stride 401 // 200 = 2 misses step 401; u[-1] must still be at beta_max
+    v_pot = potentials.quadratic(1.0)
+    ref = dynamics.fk_reference_fd(p111, v_pot, beta_max=1.0, n_tau=401, n_xi=257)
+    banded = _banded_march(p111, v_pot, beta_max=1.0, n_tau=401, n_xi=257)
+    assert ref.u.shape == banded.shape == (202, 257)
+    assert ref.betas[-1] == pytest.approx(1.0, rel=1e-14)
     assert np.max(np.abs(ref.u - banded)) <= 1e-12 * np.max(np.abs(banded))
 
 
@@ -267,6 +350,13 @@ def test_volterra_validation(p111):
         dynamics.fk_solve_volterra(p111, potentials.zero(), beta_max=1.0, n_xi=128)
     with pytest.raises(ParameterError):
         dynamics.fk_solve_volterra(p111, potentials.zero(), beta_max=-1.0)
+    for kwargs in ({"n_xi": 1}, {"xi_max": 0.0}, {"xi_max": -1.0}, {"xi_max": math.inf},
+                   {"xi_max": math.nan}, {"fixed_point_tol": 0.0},
+                   {"fixed_point_tol": -1.0}, {"fixed_point_tol": math.nan},
+                   {"max_fixed_point": 0}):
+        with pytest.raises(ParameterError):
+            dynamics.fk_solve_volterra(p111, potentials.quadratic(1.0), beta_max=1.0,
+                                       n_tau=8, **kwargs)
 
 
 def test_fk_estimate_mc_free_kernel(p111):

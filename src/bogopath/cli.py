@@ -29,7 +29,6 @@ _NUMERICAL_ERRORS = (
     sampler.NonFiniteSamplesError,
     oracle.CombinatorialExplosionError,
     np.linalg.LinAlgError,
-    dynamics.ConvergenceError,
 )
 
 

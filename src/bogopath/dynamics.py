@@ -12,7 +12,8 @@ Three layers:
   from its Volterra integral form by product integration (the free-kernel
   time mass over each slice is integrated in closed form, which absorbs the
   (beta - tau)^(-1/2) endpoint singularity; the history of slices the xi
-  grid resolves is carried by a one-term recursion per frequency),
+  grid resolves is carried by a one-term recursion per frequency, and the
+  current slice is one banded solve with a matrix factored once per grid),
   cross-checked by a Crank-Nicolson finite-difference reference and by
   mollified Monte Carlo, and for a harmonic V checked against the
   closed-form Mehler kernel.
@@ -34,10 +35,6 @@ from .params import MeasureParams, ParameterError, cosh_over_sinh, coth, sinh_ov
 from .potentials import Potential
 
 _GH_ORDER = 80
-
-
-class ConvergenceError(RuntimeError):
-    """A Volterra step's fixed-point iteration did not reach its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +205,26 @@ def _direct_lags(c: float, d_tau: float, d_xi: float, n_tau: int) -> int:
 
 
 def _volterra_grid(p: MeasureParams, v_pot: Potential, beta_max: float,
-                   n_tau: int, xi: np.ndarray, fixed_point_tol: float,
-                   max_fixed_point: int) -> np.ndarray:
+                   n_tau: int, xi: np.ndarray) -> np.ndarray:
     """Right-endpoint product integration of the Volterra equation.
 
     Convolutions in xi run in a shared zero-padded FFT space.  Once the grid
-    resolves the free kernel, the transform mass_hat[i] of its time mass over
-    slice i is, at each frequency k, a factor shared by all slices times
+    resolves the free kernel, the transform M_i of its time mass over slice i
+    is, at each frequency k, a factor shared by all slices times
     int exp(-s k^2/(2c)) ds over [i d_tau, (i+1) d_tau]; so from lag n_direct
-    on (``_direct_lags``) mass_hat[i + 1] = r mass_hat[i], r = exp(-d_tau k^2/(2c)).
+    on (``_direct_lags``) M_(i+1) = r M_i, r = exp(-d_tau k^2/(2c)).
     Step k sums lags 1..n_direct-1 directly and carries every older slice in
     one vector, tail <- r tail + g_hat[k - n_direct], weighted by
-    mass_hat[n_direct] (the recursive convolution of Lubich and Schaedle,
+    M_(n_direct) (the recursive convolution of Lubich and Schaedle,
     SIAM J. Sci. Comput. 24 (2002) 161): one inverse FFT and O(n_direct)
     frequency-space terms per step, not a sum over every past slice.  On a
     grid too coarse to resolve any lag, n_direct = n_tau and every lag is
     summed directly.
+
+    The current slice enters through the same system at every step,
+    (I + d_xi T0 diag V) u_k = rhs_k, T0[i, j] = m0[lo + i - j] the Toeplitz
+    matrix of the slice-0 time mass m0: cut to the band where m0 >= 2^-60
+    max m0, it is factored once (LAPACK dgbtrf) and each step is one dgbtrs.
 
     The directly summed masses are of the kernel cut at |offset| <= xi_max,
     while the recursion carries the uncut kernel; so a xi_max narrower than
@@ -235,83 +236,85 @@ def _volterra_grid(p: MeasureParams, v_pot: Potential, beta_max: float,
     n_xi = len(xi)
     d_xi = xi[1] - xi[0]
     v_vals = v_pot(xi)
-    betas = d_tau * np.arange(n_tau + 1)
     offsets = xi - xi[n_xi // 2]
     n_fft = scipy.fft.next_fast_len(2 * n_xi - 1)
     # same-mode slice of the full linear convolution for a centered kernel
     lo = n_xi // 2
     n_direct = _direct_lags(c, d_tau, d_xi, n_tau)
+    # mass_hat[i - 1] holds M_i
     mass_hat = np.stack([
         np.fft.rfft(_kernel_time_mass(p, i * d_tau, (i + 1) * d_tau, offsets), n_fft)
-        for i in range(n_direct + 1)
+        for i in range(1, n_direct + 1)
     ])
     k_freq = 2.0 * math.pi * np.arange(mass_hat.shape[1]) / (n_fft * d_xi)
     ratio = np.exp(-d_tau * k_freq**2 / (2.0 * c))
+
+    m0 = _kernel_time_mass(p, 0.0, d_tau, offsets)
+    bw = int(np.max(np.abs(np.flatnonzero(m0 >= 2.0**-60 * np.max(m0)) - lo)))
+    # general band storage: A[i, j] sits at ab[2 bw + i - j, j]; the top bw
+    # rows are dgbtrf's room for the fill-in of row pivoting
+    ab = np.zeros((3 * bw + 1, n_xi), order="F")
+    off = np.arange(-bw, bw + 1)[:, None]
+    row = np.arange(n_xi) + off  # i of the entry A[i, j] in each band row
+    ab[bw:] = np.where((row >= 0) & (row < n_xi), d_xi * m0[lo + off] * v_vals, 0.0)
+    ab[2 * bw] += 1.0
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=1)
+    if info > 0:
+        raise ParameterError(f"the slice-0 system of the Volterra step is singular "
+                             f"(zero pivot {info} of {n_xi}); take more time steps")
+
     tail = np.zeros(mass_hat.shape[1], dtype=complex)
     # at step k, recent[j] holds g_hat[k - n_direct + j], zero before slice 1
     recent = np.zeros((n_direct, mass_hat.shape[1]), dtype=complex)
     u = np.zeros((n_tau + 1, n_xi))
     for k in range(1, n_tau + 1):
-        rhs = fk_free(p, betas[k], xi)
+        rhs = fk_free(p, k * d_tau, xi)
         if k > 1:
             tail = ratio * tail + recent[0]
-            acc = mass_hat[n_direct] * tail + np.einsum(
-                "ij,ij->j", mass_hat[n_direct - 1:0:-1], recent[1:])
+            acc = mass_hat[-1] * tail + np.einsum(
+                "ij,ij->j", mass_hat[:-1][::-1], recent[1:])
             rhs = rhs - d_xi * np.fft.irfft(acc, n_fft)[lo:lo + n_xi]
-        # slice j = k enters implicitly: fixed-point iteration, contraction
-        # factor ~ max|V| * d_xi * sum(slice-0 mass), which is max|V| * d_tau
-        # on a grid that resolves the short-time kernel
-        u_k = rhs.copy()
-        for _ in range(max_fixed_point):
-            gk = np.fft.rfft(v_vals * u_k, n_fft)
-            u_next = rhs - d_xi * np.fft.irfft(mass_hat[0] * gk, n_fft)[lo:lo + n_xi]
-            delta = float(np.max(np.abs(u_next - u_k)))
-            u_k = u_next
-            if delta < fixed_point_tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"fixed point of step {k} of {n_tau} still moved by {delta:.3g} after "
-                f"{max_fixed_point} iterations (max|V| = {np.max(np.abs(v_vals)):.3g} "
-                "on the xi grid); its contraction factor grows with max|V| * d_tau, "
-                "so take more time steps or a smaller xi_max")
-        u[k] = u_k
+        u[k] = scipy.linalg.lapack.dgbtrs(lu, bw, bw, rhs, piv, overwrite_b=1)[0]
         recent[:-1] = recent[1:]
-        recent[-1] = np.fft.rfft(v_vals * u_k, n_fft)
+        recent[-1] = np.fft.rfft(v_vals * u[k], n_fft)
+    if not np.all(np.isfinite(u)):
+        raise ParameterError("the Volterra march is not finite")
     return u
 
 
 def fk_solve_volterra(p: MeasureParams, v_pot: Potential, beta_max: float,
                       n_tau: int = 200, n_xi: int = 1025, xi_max: float | None = None,
-                      fixed_point_tol: float = 1e-12, max_fixed_point: int = 50,
                       richardson: bool = True) -> FKSolution:
     """Solve u = free - int V u K by product integration in time, FFT in space.
 
-    n_xi should be odd so the grid is centered at xi = 0.  The time stepping
-    is first order; with ``richardson`` a halved-step solve is combined as
-    2*u(h/2) - u(h) for second order.  The reported error estimate is the
-    coarse/fine disagreement on shared slices, a proxy for the remaining
-    truncation error.  A step whose fixed point does not settle below
-    ``fixed_point_tol`` in ``max_fixed_point`` iterations raises
-    ConvergenceError.
+    n_xi must be odd, so the grid is centered at xi = 0, and d_xi at most
+    sqrt(beta_max/(m omega^2)), the kernel's standard deviation at beta_max.
+    The time stepping is first order; with ``richardson`` a halved-step solve
+    is combined as 2*u(h/2) - u(h) for second order.
+
+    ``error_estimate`` is the largest coarse/halved-step gap over all slices:
+    the time-step error of the uncorrected coarse solve, not of the returned
+    value, and blind to the xi spacing.  It is NaN without ``richardson``.
     """
     if beta_max <= 0 or n_tau < 2:
         raise ParameterError("need beta_max > 0 and n_tau >= 2")
     if n_xi < 3 or n_xi % 2 == 0:
         raise ParameterError("n_xi must be odd and >= 3 so the grid is centered at xi = 0")
-    if not fixed_point_tol > 0 or max_fixed_point < 1:
-        raise ParameterError("need fixed_point_tol > 0 and max_fixed_point >= 1")
+    sigma = math.sqrt(beta_max / (p.m * p.omega**2))
     if xi_max is None:
-        xi_max = 8.0 * math.sqrt(beta_max / (p.m * p.omega**2))
+        xi_max = 8.0 * sigma
     if not (math.isfinite(xi_max) and xi_max > 0):
         raise ParameterError("xi_max must be finite and > 0")
     xi = np.linspace(-xi_max, xi_max, n_xi)
-    u = _volterra_grid(p, v_pot, beta_max, n_tau, xi, fixed_point_tol, max_fixed_point)
+    if xi[1] - xi[0] > sigma:
+        raise ParameterError(
+            f"xi spacing {xi[1] - xi[0]:.3g} exceeds the kernel's standard deviation "
+            f"sqrt(beta_max/(m omega^2)) = {sigma:.3g} at beta_max; take more xi points")
+    u = _volterra_grid(p, v_pot, beta_max, n_tau, xi)
     betas = (beta_max / n_tau) * np.arange(n_tau + 1)
     if not richardson:
         return FKSolution(betas=betas, xi=xi, u=u, error_estimate=float("nan"))
-    u_fine = _volterra_grid(p, v_pot, beta_max, 2 * n_tau, xi, fixed_point_tol,
-                            max_fixed_point)[::2]
+    u_fine = _volterra_grid(p, v_pot, beta_max, 2 * n_tau, xi)[::2]
     err = float(np.max(np.abs(u_fine - u)))
     return FKSolution(betas=betas, xi=xi, u=2.0 * u_fine - u, error_estimate=err)
 

@@ -75,15 +75,15 @@ def eigenvalue(p: MeasureParams, n: int | np.ndarray) -> float | np.ndarray:
     return float(lam) if lam.ndim == 0 else lam
 
 
-def eigenfunction(p: MeasureParams, n: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Real orthonormal eigenfunction: cos for n > 0, sin for n < 0, constant for n = 0."""
+def eigenfunction(p: MeasureParams, n: int | np.ndarray,
+                  t: float | np.ndarray) -> float | np.ndarray:
+    """Real orthonormal eigenfunction: cos for n > 0, sin for n < 0, constant
+    for n = 0; broadcasts over arrays of n and t."""
+    n = np.asarray(n)
     t = np.asarray(t, dtype=float)
-    if n == 0:
-        out = np.full_like(t, math.sqrt(1.0 / p.beta))
-    elif n > 0:
-        out = math.sqrt(2.0 / p.beta) * np.cos(2.0 * np.pi * n * t / p.beta)
-    else:
-        out = math.sqrt(2.0 / p.beta) * np.sin(2.0 * np.pi * (-n) * t / p.beta)
+    arg = 2.0 * np.pi * np.abs(n) * t / p.beta
+    out = np.where(n == 0, math.sqrt(1.0 / p.beta),
+                   math.sqrt(2.0 / p.beta) * np.where(n > 0, np.cos(arg), np.sin(arg)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -118,17 +118,15 @@ class ContinuousRho:
               = sqrt(beta/m) * e^(omega*(t - |u|) - beta*omega*theta(t - |u|))
                 / (1 - e^(-beta*omega)) * sgn(u)
 
-    against dnu(u) = du/(2*beta), with sgn(0) = 0.  Products of rho factors
-    are piecewise exponential in u with kinks at |u| = t, so u-integrals use
-    Gauss-Legendre panels split at every kink.
+    against dnu(u) = du/(2*beta), with sgn(0) = 0.  A product of j rho
+    factors is one exponential in |u| between consecutive sorted times, so
+    its u-integral is a sum of j + 1 closed-form terms (``moment``).
     """
 
     kind = "continuous_lebesgue"
 
-    def __init__(self, p: MeasureParams, panels_per_side: int = 64, gl_order: int = 12):
+    def __init__(self, p: MeasureParams):
         self.params = p
-        self.panels_per_side = panels_per_side
-        self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(gl_order)
         self._moment_cache: dict[tuple[float, ...], float] = {}
 
     def rho(self, u, t):
@@ -144,36 +142,33 @@ class ContinuousRho:
         out = pref * np.exp(p.omega * (t - au) - bw * (t >= au)) * np.sign(u)
         return float(out) if out.ndim == 0 else out
 
-    def _positive_panels(self, breakpoints):
-        p = self.params
-        pts = sorted({0.0, p.beta, *(float(b) for b in breakpoints if 0.0 < b < p.beta)})
-        edges = []
-        target = p.beta / self.panels_per_side
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            k = max(1, int(math.ceil((hi - lo) / target)))
-            edges.append(np.linspace(lo, hi, k + 1))
-        nodes, weights = [], []
-        for seg in edges:
-            for lo, hi in zip(seg[:-1], seg[1:]):
-                half = 0.5 * (hi - lo)
-                nodes.append(0.5 * (lo + hi) + half * self._gl_nodes)
-                weights.append(half * self._gl_weights)
-        return np.concatenate(nodes), np.concatenate(weights)
-
     def moment(self, times: tuple[float, ...]) -> float:
-        """int prod_i rho(u, t_i) dnu(u); zero for an odd number of factors."""
-        if len(times) % 2 == 1:
+        """int prod_i rho(u, t_i) dnu(u); zero for an odd number of factors.
+
+        On (a_i, b_i), between consecutive sorted times (a_0 = 0, b_j = beta),
+        the product is pref^j exp(omega sum t - j omega u - beta omega (j - i)),
+        so each segment integrates in closed form.  Every exponent is a sum of
+        terms <= 0 and pref^j is taken in logs: nothing overflows.
+        """
+        j = len(times)
+        if j % 2 == 1:
             return 0.0
-        if len(times) == 0:
+        if j == 0:
             return 1.0
         key = tuple(sorted(float(t) for t in times))
         if key not in self._moment_cache:
-            u, w = self._positive_panels(key)
-            prod = np.ones_like(u)
-            for t in key:
-                prod *= self.rho(u, np.full_like(u, t))
-            # integrand even in u: dnu over [-beta, beta] collapses to (1/beta) * int_0^beta
-            self._moment_cache[key] = float((prod @ w) / self.params.beta)
+            p = self.params
+            if key[0] < 0.0 or key[-1] > p.beta:
+                raise kernel.DomainError("need t in [0, beta]")
+            t = np.array(key)
+            a = np.concatenate(([0.0], t))  # segment i is (a[i], b[i])
+            b = np.append(t, p.beta)
+            after = np.arange(j) >= np.arange(j + 1)[:, None]  # t_k >= u on segment i
+            expo = p.omega * (t - a[:, None] - p.beta * after).sum(axis=1)
+            log_pref = 0.5 * math.log(p.beta / p.m) - math.log(-math.expm1(-p.beta * p.omega))
+            jw = j * p.omega
+            terms = np.exp(j * log_pref - math.log(jw * p.beta) + expo) * -np.expm1(-jw * (b - a))
+            self._moment_cache[key] = float(terms.sum())
         return self._moment_cache[key]
 
 
@@ -245,13 +240,15 @@ class DiscreteRho:
             return 1.0
         key = tuple(sorted(float(t) for t in times))
         if key not in self._moment_cache:
-            acc = 0.0
-            for band in range(1, self.n_bands + 1):
-                prod = self.weights[band - 1] * 2.0  # atoms at +band and -band
-                for t in key:
-                    prod *= self.rho(band, t)
-                acc += prod
-            self._moment_cache[key] = float(acc)
+            # one row a band, one column a time
+            phi = kernel.eigenfunction(self.params, np.array(self.eigen_indices)[:, None],
+                                       np.array(key))
+            factors = np.sqrt(self._lam / (2.0 * self.weights))[:, None] * phi  # rho(band, t)
+            prod = self.weights * 2.0  # atoms at +band and -band
+            for col in factors.T:
+                prod = prod * col
+            # summed band by band in order, as a loop over the bands would
+            self._moment_cache[key] = float(sum(prod.tolist()))
         return self._moment_cache[key]
 
     def truncated_kernel(self, t, s):

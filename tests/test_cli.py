@@ -199,13 +199,12 @@ def test_numerical_error_exits_one(capsys):
     assert diag["error"] == "CombinatorialExplosionError"
 
 
-def test_fk_divergent_fixed_point_exits_one(capsys):
-    code, out, err = run_cli(capsys, "fk", "--potential", "quartic")
-    assert code == 1
-    assert out == ""
-    diag = json.loads(err)
-    assert diag["error"] == "ConvergenceError"
-    assert "max|V|" in diag["message"]
+def test_fk_steep_quartic_solves_at_default_xi_max(capsys):
+    # max V = 4096 on the default xi grid
+    code, out, _ = run_cli(capsys, "fk", "--potential", "quartic")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert math.isfinite(result["u_final_max"]) and result["u_final_max"] > 0
 
 
 def test_unknown_subcommand_exits_two(capsys):

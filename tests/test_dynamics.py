@@ -192,8 +192,9 @@ def test_volterra_vs_fd_reference(p111):
 
 def _k_term_grid(p, v_pot, beta_max, n_tau, xi):
     """Product integration with a k-term history sum over every past slice at
-    step k: the unrecursed reference for the history recursion of
-    dynamics._volterra_grid."""
+    step k, and the current slice by a dense LU solve of the full, uncut
+    Toeplitz system: the reference for the history recursion and the banded
+    slice-0 solve of dynamics._volterra_grid."""
     d_tau = beta_max / n_tau
     n_xi = len(xi)
     d_xi = xi[1] - xi[0]
@@ -205,6 +206,10 @@ def _k_term_grid(p, v_pot, beta_max, n_tau, xi):
         np.fft.rfft(dynamics._kernel_time_mass(p, i * d_tau, (i + 1) * d_tau, offsets), n_fft)
         for i in range(n_tau)
     ])
+    m0 = dynamics._kernel_time_mass(p, 0.0, d_tau, offsets)
+    idx = lo + np.arange(n_xi)[:, None] - np.arange(n_xi)[None, :]
+    t0 = np.where((idx >= 0) & (idx < n_xi), m0[np.clip(idx, 0, n_xi - 1)], 0.0)
+    slice0 = scipy.linalg.lu_factor(np.eye(n_xi) + d_xi * t0 * v_vals[None, :])
     g_hat = np.zeros((n_tau + 1, mass_hat.shape[1]), dtype=complex)
     u = np.zeros((n_tau + 1, n_xi))
     for k in range(1, n_tau + 1):
@@ -212,16 +217,8 @@ def _k_term_grid(p, v_pot, beta_max, n_tau, xi):
         if k > 1:
             acc = np.einsum("ij,ij->j", mass_hat[k - 1:0:-1], g_hat[1:k])
             rhs = rhs - d_xi * np.fft.irfft(acc, n_fft)[lo:lo + n_xi]
-        u_k = rhs.copy()
-        for _ in range(50):
-            gk = np.fft.rfft(v_vals * u_k, n_fft)
-            u_next = rhs - d_xi * np.fft.irfft(mass_hat[0] * gk, n_fft)[lo:lo + n_xi]
-            delta = float(np.max(np.abs(u_next - u_k)))
-            u_k = u_next
-            if delta < 1e-12:
-                break
-        u[k] = u_k
-        g_hat[k] = np.fft.rfft(v_vals * u_k, n_fft)
+        u[k] = scipy.linalg.lu_solve(slice0, rhs)
+        g_hat[k] = np.fft.rfft(v_vals * u[k], n_fft)
     return u
 
 
@@ -252,14 +249,57 @@ def test_volterra_history_recursion_matches_k_term_sum(params, v_pot, n_tau, n_x
     assert np.max(np.abs(sol.u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("v_pot, kwargs", [
-    (potentials.quartic(1.0), {}), (potentials.quartic(0.1), {}),
-    (potentials.quartic(1.0), {"xi_max": 4.0}), (potentials.quadratic(1.0), {"n_xi": 3})],
-    ids=["quartic", "quartic-0.1", "quartic-xi_max=4", "quadratic-n_xi=3"])
-def test_volterra_divergent_fixed_point_raises(p111, v_pot, kwargs):
-    # the slice-0 contraction factor is far above 1 on each of these grids
-    with pytest.raises(dynamics.ConvergenceError, match=r"step \d+ of .* max\|V\|"):
-        dynamics.fk_solve_volterra(p111, v_pot, beta_max=1.0, n_tau=160, **kwargs)
+def _sinc_dvr_kernel(p, v_pot, beta_arg, half_width=6.0, n_points=241):
+    """u(beta, 0) = sum_n exp(-beta E_n) psi_n(0)^2 / dx from the sinc
+    discrete-variable representation of D d^2/dx^2 - V, D = 1/(2 m omega^2)
+    (Colbert and Miller, J. Chem. Phys. 96 (1992) 1982)."""
+    x = np.linspace(-half_width, half_width, n_points)
+    dx = x[1] - x[0]
+    lag = np.arange(n_points)[:, None] - np.arange(n_points)[None, :]
+    off_diag = 2.0 * (-1.0) ** lag / np.where(lag == 0, 1, lag) ** 2
+    kinetic = np.where(lag == 0, math.pi**2 / 3.0, off_diag) / dx**2
+    energies, vecs = np.linalg.eigh(kinetic / (2.0 * p.m * p.omega**2) + np.diag(v_pot(x)))
+    return float(np.sum(np.exp(-beta_arg * energies) * vecs[n_points // 2] ** 2) / dx)
+
+
+def test_sinc_dvr_kernel_matches_mehler(p111):
+    exact = dynamics.fk_harmonic(p111, 1.0, 1.0, 0.0)
+    assert _sinc_dvr_kernel(p111, potentials.quadratic(1.0), 1.0) == pytest.approx(
+        exact, rel=1e-11)
+
+
+# u(1, 0) of the sinc-DVR kernel; the same 12 digits on [-7, 7] with 401 points
+@pytest.mark.parametrize("g, xi_max, exact, rel", [(0.1, None, 0.395056835917, 1e-6),
+                                                   (1.0, None, 0.366597709622, 1e-5),
+                                                   (1.0, 4.0, 0.366597709622, 1e-5)],
+                         ids=["quartic-0.1", "quartic", "quartic-xi_max=4"])
+def test_volterra_quartic_against_sinc_dvr(p111, g, xi_max, exact, rel):
+    # max V = 4096 g on the default grid: a fixed point on the current slice
+    # would not contract there, the direct slice-0 solve does not care
+    v_pot = potentials.quartic(g)
+    assert _sinc_dvr_kernel(p111, v_pot, 1.0) == pytest.approx(exact, rel=1e-11)
+    sol = dynamics.fk_solve_volterra(p111, v_pot, beta_max=1.0, n_tau=160, n_xi=1025,
+                                     xi_max=xi_max)
+    assert np.all(np.isfinite(sol.u))
+    assert sol.at(1.0, 0.0) == pytest.approx(exact, rel=rel)
+
+
+def test_volterra_rejects_grid_that_cannot_resolve_the_kernel(p111):
+    # n_xi = 3 puts d_xi at 8 standard deviations of the kernel at beta_max
+    with pytest.raises(ParameterError, match="xi spacing"):
+        dynamics.fk_solve_volterra(p111, potentials.quadratic(1.0), beta_max=1.0,
+                                   n_tau=160, n_xi=3)
+    # n_xi = 17 is the coarsest default grid with d_xi <= sqrt(beta_max/c)
+    sol = dynamics.fk_solve_volterra(p111, potentials.quadratic(1.0), beta_max=1.0,
+                                     n_tau=8, n_xi=17)
+    assert np.all(np.isfinite(sol.u))
+
+
+def test_volterra_rejects_non_finite_values(p111):
+    singular = potentials.Potential("pole", lambda x: np.where(x == 0.0, np.inf, 0.0),
+                                    True, True)
+    with pytest.raises(ParameterError, match="not finite"):
+        dynamics.fk_solve_volterra(p111, singular, beta_max=1.0, n_tau=10, n_xi=101)
 
 
 def _banded_march(p, v_pot, beta_max, n_tau, n_xi, beta_init=1e-3):
@@ -351,9 +391,7 @@ def test_volterra_validation(p111):
     with pytest.raises(ParameterError):
         dynamics.fk_solve_volterra(p111, potentials.zero(), beta_max=-1.0)
     for kwargs in ({"n_xi": 1}, {"xi_max": 0.0}, {"xi_max": -1.0}, {"xi_max": math.inf},
-                   {"xi_max": math.nan}, {"fixed_point_tol": 0.0},
-                   {"fixed_point_tol": -1.0}, {"fixed_point_tol": math.nan},
-                   {"max_fixed_point": 0}):
+                   {"xi_max": math.nan}):
         with pytest.raises(ParameterError):
             dynamics.fk_solve_volterra(p111, potentials.quadratic(1.0), beta_max=1.0,
                                        n_tau=8, **kwargs)

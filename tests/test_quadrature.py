@@ -107,6 +107,8 @@ def test_continuous_rho_odd_moment_vanishes(p111):
     rho = quadrature.ContinuousRho(p111)
     assert rho.moment((0.1, 0.2, 0.3)) == 0.0
     assert rho.moment(()) == 1.0
+    with pytest.raises(kernel.DomainError):
+        rho.moment((0.2, 1.5))
 
 
 def test_discrete_rho_reproduces_truncated_kernel(p111):
@@ -116,6 +118,22 @@ def test_discrete_rho_reproduces_truncated_kernel(p111):
         t, s = rng.uniform(0.0, p111.beta, size=2)
         assert disc.moment((t, s)) == pytest.approx(
             disc.truncated_kernel(t, s), abs=1e-14)
+
+
+def test_discrete_rho_moment_matches_band_loop():
+    # the loop over bands through rho(band, t), in the same arithmetic order
+    p = MeasureParams(2.0, 0.7, 0.8)
+    disc = quadrature.DiscreteRho(p)
+    rng = _rng(3)
+    for j in (2, 4, 6):
+        times = tuple(np.sort(rng.uniform(0.0, p.beta, size=j)))
+        acc = 0.0
+        for band in range(1, disc.n_bands + 1):
+            prod = disc.weights[band - 1] * 2.0
+            for t in times:
+                prod *= disc.rho(band, t)
+            acc += prod
+        assert disc.moment(times) == pytest.approx(acc, rel=1e-15, abs=0.0)
 
 
 def test_discrete_rho_weight_validation(p111):
@@ -277,7 +295,51 @@ def test_continuous_rho_large_beta_omega():
     u = np.linspace(-1.0, 1.0, 41)
     assert np.isfinite(rho.rho(u, 0.4)).all()
     for t, s in ((0.3, 0.3), (0.2, 0.21), (0.1, 0.105), (0.9, 0.95), (0.0, 1.0)):
-        assert rho.moment((t, s)) == pytest.approx(kernel.covariance(p, t, s), rel=1e-6)
+        assert rho.moment((t, s)) == pytest.approx(kernel.covariance(p, t, s), rel=1e-13)
+    # 50-digit value of the segment sum for these binary times; Gauss-Legendre
+    # panels split at the kinks gave 2.46877e-261.  The exponent is about -600,
+    # whose float64 ulp is 1.1e-13, which sets the bound.
+    assert rho.moment((0.1, 0.37, 0.37, 0.9)) == pytest.approx(
+        2.4689752417207178807e-261, rel=1e-12)
+
+
+def _mp_moment(m, omega, beta, times):
+    """40-digit mpmath quadrature of prod_i rho(u, t_i) over (0, beta), split
+    at the kinks u = t_i, divided by beta."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m, omega, beta = mpmath.mpf(m), mpmath.mpf(omega), mpmath.mpf(beta)
+        ts = sorted(mpmath.mpf(t) for t in times)
+        pref = mpmath.sqrt(beta / m) / -mpmath.expm1(-beta * omega)
+
+        def integrand(u):
+            out = mpmath.mpf(1)
+            for t in ts:
+                out *= pref * mpmath.exp(omega * (t - u) - (beta * omega if t >= u else 0))
+            return out
+
+        return float(mpmath.quad(integrand, [mpmath.mpf(0), *ts, beta]) / beta)
+
+
+@pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.0, 0.7, 0.8),
+                                            (1.0, 3.0, 5.0), (0.5, 0.1, 20.0)])
+def test_continuous_rho_moments_match_mpmath(m, omega, beta):
+    rho = quadrature.ContinuousRho(MeasureParams(m, omega, beta))
+    rng = _rng(7)
+    for j in (2, 4, 6, 8):
+        times = tuple(rng.uniform(0.0, beta, size=j))
+        assert rho.moment(times) == pytest.approx(_mp_moment(m, omega, beta, times),
+                                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("omega", [1e-8, 1500.0])
+def test_continuous_rho_moments_finite_at_extreme_beta_omega(omega):
+    p = MeasureParams(1.0, omega, 1.0)
+    rho = quadrature.ContinuousRho(p)
+    assert rho.moment((0.2, 0.5)) == pytest.approx(kernel.covariance(p, 0.2, 0.5), rel=1e-13)
+    for j in (2, 4, 8):
+        value = rho.moment(tuple(np.linspace(0.45, 0.55, j)))
+        assert math.isfinite(value) and value > 0.0
 
 
 def test_continuous_rho_unchanged_at_moderate_parameters(p111):

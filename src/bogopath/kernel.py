@@ -10,7 +10,8 @@ Closed forms implemented here:
   grid t_j = j*beta/g, modes n, n + g and g - n take the same values (sines
   up to sign), so the grid law of the truncated expansion has the aliased
   sums sum_{n mod g = +-k} lambda_n as the variances of its g Fourier
-  coefficients; ``sampler.kl_drawer`` draws from those;
+  coefficients; ``sampler.kl_drawer`` scales the normals of the shared
+  spectral drawer by their square roots;
 * the covariance matrix A of the path restricted to the uniform grid
   s_j = beta*(j-1)/N, together with closed forms for its inverse and the
   determinant of the inverse.
@@ -29,7 +30,6 @@ All three closed forms are cross-checked against dense linear algebra in the tes
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,27 +106,6 @@ def eigen_system(p: MeasureParams, n_max: int) -> list[EigenPair]:
     return [EigenPair(n, eigenvalue(p, n), p) for n in range(-n_max, n_max + 1)]
 
 
-def default_n_max(p: MeasureParams, tail_fraction: float = 1e-10, cap: int = 1_000_000) -> int:
-    """Truncation order making the eigenvalue tail below tail_fraction * Tr B.
-
-    The tail is bounded by the integral comparison
-    sum_{|n|>N} lambda_n < beta^2/(2*pi^2*m*N).  The resulting N grows like
-    1/tail_fraction, so it is capped; a warning reports the actually achieved
-    tail bound when the cap bites.
-    """
-    target = tail_fraction * p.trace_b
-    needed = int(math.ceil(p.beta**2 / (2.0 * math.pi**2 * p.m * target)))
-    if needed > cap:
-        achieved = p.beta**2 / (2.0 * math.pi**2 * p.m * cap) / p.trace_b
-        warnings.warn(
-            f"eigen truncation capped at {cap}; tail fraction {achieved:.2e} "
-            f"instead of requested {tail_fraction:.2e}",
-            RuntimeWarning,
-        )
-        return cap
-    return max(needed, 1)
-
-
 def eigen_tail_bound(p: MeasureParams, n_max: int) -> float:
     """Analytic bound on sum_{|n|>n_max} lambda_n."""
     return p.beta**2 / (2.0 * math.pi**2 * p.m * n_max)
@@ -134,13 +113,19 @@ def eigen_tail_bound(p: MeasureParams, n_max: int) -> float:
 
 def truncated_kernel(p: MeasureParams, t, s, n_max: int):
     """Partial eigen-series sum_{|n|<=n_max} lambda_n*phi_n(t)*phi_n(s)."""
+    n = np.arange(-n_max, n_max + 1)
+    return _eigen_sum(p, n, eigenvalue(p, n), t, s)
+
+
+def _eigen_sum(p: MeasureParams, n: np.ndarray, weights: np.ndarray, t, s):
+    """sum_i weights_i*phi_{n_i}(t)*phi_{n_i}(s) over the index array n, for
+    broadcastable arrays of times t and s."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    n = np.arange(-n_max, n_max + 1)
-    lam = eigenvalue(p, n)
-    acc = np.zeros(np.broadcast_shapes(t.shape, s.shape))
-    for ni, li in zip(n, lam):
-        acc = acc + li * eigenfunction(p, ni, t) * eigenfunction(p, ni, s)
+    col_t = (-1,) + (1,) * t.ndim  # one index a row, the times broadcast after it
+    col_s = (-1,) + (1,) * s.ndim
+    terms_t = np.reshape(weights, col_t) * eigenfunction(p, n.reshape(col_t), t)
+    acc = np.einsum("i...,i...->...", terms_t, eigenfunction(p, n.reshape(col_s), s))
     return float(acc) if acc.ndim == 0 else acc
 
 
@@ -161,17 +146,6 @@ class GridCovariance:
     @property
     def n(self) -> int:
         return len(self.times)
-
-    @property
-    def det_a_inv(self) -> float:
-        try:
-            return math.exp(self.log_det_a_inv)
-        except OverflowError:
-            warnings.warn(
-                f"det(A^-1) overflows float64 at N={self.n}; use log_det_a_inv",
-                RuntimeWarning,
-            )
-            return math.inf
 
 
 def grid_covariance(p: MeasureParams, n_grid: int) -> GridCovariance:
@@ -221,19 +195,6 @@ def grid_spectrum(p: MeasureParams, n_grid: int) -> np.ndarray:
     if not np.isfinite(mu).all():
         raise ParameterError(f"grid spectrum overflows float64 at {p}, N={n_grid}")
     return mu
-
-
-def marginal_log_density(gc: GridCovariance, q: np.ndarray) -> float:
-    """Log density of the N-dimensional grid marginal at the point q.
-
-    q holds the free coordinates q_1..q_N; the periodic closure q_{N+1} = q_1
-    is structural, so no delta factor appears.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (gc.n,):
-        raise ParameterError(f"expected point of shape ({gc.n},), got {q.shape}")
-    quad = float(q @ gc.a_inv @ q)
-    return -0.5 * gc.n * math.log(2.0 * math.pi) + 0.5 * gc.log_det_a_inv - 0.5 * quad
 
 
 def increment_variance(p: MeasureParams, t1: float, t2: float) -> float:

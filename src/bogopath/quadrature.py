@@ -60,18 +60,6 @@ class FunctionalPolynomial:
     def constant(cls, c: float = 1.0) -> "FunctionalPolynomial":
         return cls(((float(c), ()),))
 
-    @classmethod
-    def mean_square(cls, beta: float, n_grid: int = 24) -> "FunctionalPolynomial":
-        """(int_0^beta x dt)^2 as a quadratic monomial sum on a trapezoid grid."""
-        t = beta * np.arange(n_grid + 1) / n_grid
-        w = np.full(n_grid + 1, beta / n_grid)
-        w[0] = w[-1] = 0.5 * beta / n_grid
-        terms = []
-        for i in range(n_grid + 1):
-            for j in range(n_grid + 1):
-                terms.append((float(w[i] * w[j]), (float(t[i]), float(t[j]))))
-        return cls(tuple(terms))
-
     @property
     def degree(self) -> int:
         return max((len(ts) for _, ts in self.terms), default=0)
@@ -253,11 +241,7 @@ class DiscreteRho:
 
     def truncated_kernel(self, t, s):
         """sum over represented bands of lambda * phi(t) * phi(s)."""
-        acc = 0.0
-        for lam, n_eig in zip(self._lam, self.eigen_indices):
-            acc = acc + lam * kernel.eigenfunction(self.params, n_eig, t) \
-                * kernel.eigenfunction(self.params, n_eig, s)
-        return acc
+        return kernel._eigen_sum(self.params, np.array(self.eigen_indices), self._lam, t, s)
 
 
 # ---------------------------------------------------------------------------

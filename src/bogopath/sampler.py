@@ -1,24 +1,26 @@
 """Path sampling and seeded Monte Carlo estimation.
 
-Two deliberately independent samplers are provided:
+Both samplers draw a path as the inverse real FFT of independent Gaussian
+half-spectrum coefficients, through one drawer; only the coefficients'
+standard deviations differ, and those come from two independent closed forms:
 
-* ``sample_finite`` draws the exact grid marginal N(0, A) by FFT: A is
-  circulant, so scaling the discrete Fourier transform of white noise by the
-  square root of A's closed-form spectrum and transforming back gives N(0, A)
-  in O(N log N) per path;
+* ``sample_finite`` draws the exact grid marginal N(0, A).  A is circulant,
+  so the discrete Fourier coefficients of a path are independent, with
+  variances given by A's closed-form spectrum (``kernel.grid_spectrum``):
+  g normals per path on g grid points, O(g log g) per path;
 * ``sample_kl`` draws the truncated eigen-expansion
   sum_{|n| <= n_modes} sqrt(lambda_n) * xi_n * phi_n(t) on the grid.  There
   mode n takes the values of the grid frequency n mod g (folded to g - n mod g
   with a sign flip of the sine), so the expansion is a real trigonometric
   polynomial of at most g independent Gaussian coefficients, each with the
-  summed lambda_n of the modes that fold onto it as variance; one normal per
-  coefficient and an inverse real FFT give the paths.
+  summed lambda_n of the modes that fold onto it as variance.
 
-Both end in the same inverse real FFT, but their spectra are independent:
-the finite sampler's comes from the closed-form grid covariance, the KL
-sampler's from the eigenvalues lambda_n.  Each has a drawer (grid times and
-a ``draw(rng, count)`` closure) and returns paths as ``(times, values)``:
-the shared grid of g + 1 times and one path per row of ``values``.
+Column j of a chunk's normals is the j-th coefficient in the order Re c_0,
+Re c_1, Im c_1, Re c_2, ...; for both spectra the variance falls with the
+frequency, so the leading columns carry the largest directions of the law.
+Each sampler has a drawer (grid times and a ``draw(rng, count)`` closure) and
+returns paths as ``(times, values)``: the shared grid of g + 1 times and one
+path per row of ``values``.
 
 Disagreement between the two beyond statistical tolerance flags a bug in
 either the kernel closed forms or the sampling.
@@ -98,29 +100,54 @@ def grid_times(p: MeasureParams, g: int) -> np.ndarray:
     return p.beta * np.arange(g + 1) / g
 
 
-def _synthesize(spec: np.ndarray, g: int) -> np.ndarray:
-    """Periodic grid values (count, g + 1) of the half-spectra in the rows of spec."""
-    values = np.empty((spec.shape[0], g + 1))
-    np.fft.irfft(spec, n=g, axis=1, out=values[:, :g])
-    values[:, g] = values[:, 0]
-    return values
+def _half_spectrum(re_sd: np.ndarray, im_sd: np.ndarray, d: int) -> np.ndarray:
+    """Per-bin standard deviations of Re c_k and Im c_k as one vector in the
+    order Re c_0, Re c_1, Im c_1, Re c_2, ... (Im c_0 left out: irfft ignores
+    it), cut to its first d entries."""
+    return np.delete(np.stack([re_sd, im_sd], axis=1).ravel(), 1)[:d]
+
+
+def _spectral_drawer(sd: np.ndarray, g: int) -> Callable:
+    """The draw(rng, count) -> values closure of both samplers.
+
+    Column j of each chunk's normals, scaled by sd[j], is the j-th real
+    half-spectrum coefficient in ``_half_spectrum`` order; the coefficients
+    past len(sd) are zero.  One irfft gives the g grid values of each path,
+    and the closing column repeats the first.  The normals are freed before
+    the paths are allocated, so a chunk never holds all three arrays.
+    """
+    n_bins = g // 2 + 1
+    d = len(sd)
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        coeffs = rng.standard_normal((count, d))
+        coeffs *= sd
+        spec = np.zeros((count, n_bins), dtype=complex)
+        flat = spec.view(float)
+        flat[:, 0] = coeffs[:, 0]
+        flat[:, 2:d + 1] = coeffs[:, 1:]
+        del coeffs
+        values = np.empty((count, g + 1))
+        np.fft.irfft(spec, n=g, axis=1, out=values[:, :g])
+        values[:, g] = values[:, 0]
+        return values
+
+    return draw
 
 
 def finite_dim_drawer(p: MeasureParams, n_grid: int) -> tuple[np.ndarray, Callable]:
     """Times and a draw(rng, count) -> values closure for the exact grid sampler.
 
-    With A = F^-1 diag(mu) F, the map z -> F^-1 diag(sqrt(mu)) F z is a real
-    symmetric square root of A, so it sends white noise to N(0, A).
+    A = F^-1 diag(mu) F, so the grid law N(0, A) is that of the irfft of
+    independent half-spectrum coefficients: with c = rfft(x), Re c_k and
+    Im c_k have variance N*mu_k/2, except that c_0 and c_{N/2} are real with
+    variance N*mu_k.  That is N normals per path, one per coefficient.
     """
-    sqrt_mu = np.sqrt(kernel.grid_spectrum(p, n_grid))
-    times = grid_times(p, n_grid)
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        spec = np.fft.rfft(rng.standard_normal((count, n_grid)), axis=1)
-        spec *= sqrt_mu
-        return _synthesize(spec, n_grid)
-
-    return times, draw
+    mu = kernel.grid_spectrum(p, n_grid)
+    edge = 2 * np.arange(len(mu)) % n_grid == 0  # bins 0 and N/2 are real
+    sd = np.sqrt(n_grid * mu * np.where(edge, 1.0, 0.5))
+    return grid_times(p, n_grid), _spectral_drawer(
+        _half_spectrum(sd, np.where(edge, 0.0, sd), n_grid), n_grid)
 
 
 def kl_drawer(p: MeasureParams, n_modes: int, g: int) -> tuple[np.ndarray, Callable]:
@@ -143,26 +170,14 @@ def kl_drawer(p: MeasureParams, n_modes: int, g: int) -> tuple[np.ndarray, Calla
     k = np.minimum(r, g - r)
     has_sine = 2 * r % g != 0  # sin(2 pi r j/g) vanishes on the grid for r = 0, g/2
     n_bins = g // 2 + 1
-    # (real, imaginary) parts of the half-spectrum, interleaved as in its float view
-    var = np.stack([np.bincount(k, lam, n_bins), np.bincount(k, lam * has_sine, n_bins)],
-                   axis=1)
     # irfft(c)[j] = (c_0 + 2 sum_k Re(c_k e^{2 pi i jk/g}) [+ c_{g/2} (-1)^j]) / g
     scale = np.where(2 * np.arange(n_bins) % g == 0, g, g / 2)
-    # In the order Re c_0, Re c_1, Im c_1, Re c_2, ... (Im c_0 left out: irfft
-    # ignores it), the coefficients of nonzero variance are the first
-    # min(g, 2*n_modes + 1); with g even, the last one, Im c_{g/2}, is zero.
-    sd = np.delete((np.sqrt(var) * scale[:, None]).ravel(), 1)[:min(g, 2 * n_modes + 1)]
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        coeffs = rng.standard_normal((count, len(sd)))
-        coeffs *= sd
-        spec = np.zeros((count, n_bins), dtype=complex)
-        flat = spec.view(float)
-        flat[:, 0] = coeffs[:, 0]
-        flat[:, 2:len(sd) + 1] = coeffs[:, 1:]
-        return _synthesize(spec, g)
-
-    return times, draw
+    # in layout order the coefficients of nonzero variance are the first
+    # min(g, 2*n_modes + 1); with g even, the last one, Im c_{g/2}, is zero
+    sd = _half_spectrum(np.sqrt(np.bincount(k, lam, n_bins)) * scale,
+                        np.sqrt(np.bincount(k, lam * has_sine, n_bins)) * scale,
+                        min(g, 2 * n_modes + 1))
+    return times, _spectral_drawer(sd, g)
 
 
 def sample_finite(p: MeasureParams, n_grid: int, n_paths: int, seed: int,
@@ -191,11 +206,6 @@ def _draw_all(draw: Callable, n_paths: int, seed: int, chunk_size: int) -> np.nd
         count = min(chunk_size, n_paths - ci * chunk_size)
         parts.append(draw(_chunk_rng(seed, ci), count))
     return np.concatenate(parts, axis=0)
-
-
-def path_integral(path: PathSample, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Trapezoidal int_0^beta f(x(t)) dt on the path's grid."""
-    return float(np.trapezoid(f(path.values), path.times))
 
 
 def mc_columns(times: np.ndarray, draw: Callable, eval_fn: Callable,

@@ -35,9 +35,19 @@ def test_polynomial_gauss_expectation(p111):
     assert quadrature.FunctionalPolynomial.constant(2.5).gauss_expectation(p111) == 2.5
 
 
+def _mean_square_polynomial(beta, n_grid):
+    """(int_0^beta x dt)^2 as a quadratic monomial sum on a trapezoid grid."""
+    t = beta * np.arange(n_grid + 1) / n_grid
+    w = np.full(n_grid + 1, beta / n_grid)
+    w[0] = w[-1] = 0.5 * beta / n_grid
+    return quadrature.FunctionalPolynomial(tuple(
+        (float(w[i] * w[j]), (float(t[i]), float(t[j])))
+        for i in range(n_grid + 1) for j in range(n_grid + 1)))
+
+
 def test_mean_square_polynomial(p111):
     # (int x dt)^2 has expectation int int B = beta/(m omega^2)
-    poly = quadrature.FunctionalPolynomial.mean_square(p111.beta, n_grid=48)
+    poly = _mean_square_polynomial(p111.beta, n_grid=48)
     assert poly.gauss_expectation(p111) == pytest.approx(
         p111.beta / (p111.m * p111.omega**2), rel=1e-3)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,10 +108,15 @@ def test_non_finite_samples_abort(p111):
         sampler.estimate(p111, bad, method="finite", n_paths=2000, n_grid=8, seed=0)
 
 
+def _path_integral(path, f):
+    """Trapezoidal int_0^beta f(x(t)) dt on the path's grid."""
+    return float(np.trapezoid(f(path.values), path.times))
+
+
 def test_path_integral_constant(p111):
     t = np.linspace(0.0, p111.beta, 11)
     path = sampler.PathSample(t, np.full(11, 2.0))
-    assert sampler.path_integral(path, lambda x: x) == pytest.approx(2.0 * p111.beta)
+    assert _path_integral(path, lambda x: x) == pytest.approx(2.0 * p111.beta)
 
 
 def test_mc_columns_multicolumn_shapes(p111):
@@ -206,16 +212,79 @@ def test_finite_drawer_tiny_omega():
 
 
 def test_sample_finite_matches_reference_map(p111):
-    # the spectral map written out on each chunk's normals: rfft, scale, irfft, close
+    # each chunk's normals written out as the half spectrum Re c_0, Re c_1,
+    # Im c_1, ..., scaled by sqrt(N mu_k) (real bins 0, N/2) or sqrt(N mu_k/2)
     for n in (7, 8):
         _, values = sampler.sample_finite(p111, n, 700, seed=13, chunk_size=256)
-        sqrt_mu = np.sqrt(kernel.grid_spectrum(p111, n))
+        mu = kernel.grid_spectrum(p111, n)
+        inner = np.arange(1, (n + 1) // 2)
         parts = []
         for ci, count in enumerate((256, 256, 188)):
             z = sampler._chunk_rng(13, ci).standard_normal((count, n))
-            vals = np.fft.irfft(np.fft.rfft(z, axis=1) * sqrt_mu, n=n, axis=1)
+            spec = np.zeros((count, n // 2 + 1), dtype=complex)
+            spec.real[:, 0] = z[:, 0] * np.sqrt(n * mu[0])
+            spec.real[:, inner] = z[:, 2 * inner - 1] * np.sqrt(n * mu[inner] / 2)
+            spec.imag[:, inner] = z[:, 2 * inner] * np.sqrt(n * mu[inner] / 2)
+            if n % 2 == 0:
+                spec.real[:, n // 2] = z[:, n - 1] * np.sqrt(n * mu[n // 2])
+            vals = np.fft.irfft(spec, n=n, axis=1)
             parts.append(np.concatenate([vals, vals[:, :1]], axis=1))
         assert np.array_equal(values, np.concatenate(parts))
+
+
+def _reference_kl_draw(p, n_modes, g):
+    """Reference KL draw: the folded spectrum with its own coefficient
+    placement and irfft, written out apart from the sampler's drawer."""
+    n = np.arange(n_modes + 1)
+    lam = kernel.eigenvalue(p, n) * np.where(n == 0, 1.0, 2.0) / p.beta
+    r = n % g
+    k = np.minimum(r, g - r)
+    has_sine = 2 * r % g != 0
+    n_bins = g // 2 + 1
+    var = np.stack([np.bincount(k, lam, n_bins), np.bincount(k, lam * has_sine, n_bins)],
+                   axis=1)
+    scale = np.where(2 * np.arange(n_bins) % g == 0, g, g / 2)
+    sd = np.delete((np.sqrt(var) * scale[:, None]).ravel(), 1)[:min(g, 2 * n_modes + 1)]
+
+    def draw(rng, count):
+        coeffs = rng.standard_normal((count, len(sd)))
+        coeffs *= sd
+        spec = np.zeros((count, n_bins), dtype=complex)
+        flat = spec.view(float)
+        flat[:, 0] = coeffs[:, 0]
+        flat[:, 2:len(sd) + 1] = coeffs[:, 1:]
+        values = np.empty((count, g + 1))
+        np.fft.irfft(spec, n=g, axis=1, out=values[:, :g])
+        values[:, g] = values[:, 0]
+        return values
+
+    return draw
+
+
+@pytest.mark.parametrize("n_modes, g", [(512, 256), (64, 48), (100, 7), (5, 1), (0, 8)])
+def test_sample_kl_matches_reference_placement(n_modes, g):
+    p = MeasureParams(m=2.5, omega=0.3, beta=7.0)
+    _, values = sampler.sample_kl(p, n_modes, g, 700, seed=14, chunk_size=256)
+    draw = _reference_kl_draw(p, n_modes, g)
+    ref = np.concatenate([draw(sampler._chunk_rng(14, ci), count)
+                          for ci, count in enumerate((256, 256, 188))])
+    assert np.array_equal(values, ref)
+
+
+def test_finite_draw_frees_normals_before_irfft(p111):
+    # normals, half spectrum and paths are each about one output array; the
+    # normals must be gone before the paths are allocated
+    _, draw = sampler.finite_dim_drawer(p111, 4096)
+    rng = sampler._chunk_rng(0, 0)
+    draw(rng, 8)  # warm the FFT plan cache outside the measurement
+    tracemalloc.start()
+    try:
+        values = draw(rng, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (400, 4097)
+    assert peak < 2.2 * values.nbytes
 
 
 @pytest.mark.parametrize("m, omega, beta", [(1.0, 1.0, 1.0), (2.5, 0.3, 7.0),
